@@ -2,7 +2,7 @@
 
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined, Problem,
                     SignedMeasure, StateSpace, TransienceCertificate,
-                    build_form, energy, equilibrium_potential, is_transient,
+                    build_form, equilibrium_potential, is_transient,
                     perturb, potential)
 from .drivers import Driver, DriverError, make_driver, truncate_data, yosida_regularize
 from .catalog import (CATALOG, DescriptorError, build_catalog_problem,
@@ -15,14 +15,13 @@ from .bsde import (BsdeSolution, ComparisonReport, LadderTrace,
                    MartingaleReport, SolverError, bsde_comparison_check,
                    extract_martingale, martingale_residual_check,
                    solve_finite_horizon, solve_random_horizon_ladder)
-from .elliptic import (DualityReport, EllipticSolution, GreenBoundReport,
-                       L1Report, TruncationReport, TvReport,
+from .elliptic import (METHODS, DualityReport, EllipticSolution,
+                       GreenBoundReport, L1Report, TruncationReport, TvReport,
                        UnboundedSolutionError, duality_check,
-                       green_bound_check, l1_bound_check,
+                       green_bound_check, l1_bound_check, solve,
                        solve_elliptic_gauss_seidel, solve_elliptic_ladder,
-                       solve_elliptic_mc, truncation_energy_check,
-                       truncation_report, tv_comparison_check,
-                       vanishing_energy_check, weak_form_check)
+                       solve_elliptic_mc, truncation_report,
+                       tv_comparison_check, weak_form_check)
 from .convergence import StudyReport, boundary_exponent_fit, convergence_study, green_profile_1d
 
 __version__ = "0.1.0"

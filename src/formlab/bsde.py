@@ -9,10 +9,10 @@ integrated here by implicit Euler: each step solves the monotone system
 
     (M + dt L) v - dt M f(., v) = M v_prev + dt masses(mu)
 
-by damped Newton (the Jacobian is SPD when f is nonincreasing), with a
-per-node scan fallback.  The stationary point of a step is exactly the
-elliptic solution, so long horizons converge to it without a step-size
-floor.
+by damped Newton (the Jacobian is SPD when f is nonincreasing), with
+Gauss-Seidel on the form perturbed by 1/dt as the fallback.  The
+stationary point of a step is exactly the elliptic solution, so long
+horizons converge to it without a step-size floor.
 
 The random-horizon solution is built by the horizon ladder: at level n the
 data are truncated at n, the driver is regularized at Lipschitz level n
@@ -29,7 +29,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .drivers import Driver, truncate_data, yosida_regularize
-from .forms import DirichletForm, FormError, Problem, SignedMeasure, is_transient
+from .forms import (DirichletForm, FormError, Problem, SignedMeasure,
+                    is_transient, perturb)
 from .markov import Chain, ChainPath, _path_rng, _simulate_batch, default_horizon_cap
 
 
@@ -57,33 +58,35 @@ class BsdeSolution:
         return float((1 - w) * self.surface[j, x] + w * self.surface[j + 1, x])
 
 
-def _implicit_step(A0, m, driver, rhs, v_init, *, tol, max_iter, step_label):
-    """Solve A0 v - dt_m * f(v) = rhs by damped Newton; dt_m = dt * m baked in.
+def _implicit_step(A0, form, dt, driver, rhs, v_init, *, tol, max_iter,
+                   step_label):
+    """Solve A0 v - dt M f(v) = rhs, with A0 = M + dt L, by damped Newton.
 
-    A0 is the dense step matrix M + dt L; ``driver_scaled`` evaluation uses
-    the dt*m scaling carried by the closure arguments.
+    Affine drivers take one exact linear solve.  When Newton stalls, the
+    step is finished by Gauss-Seidel on the form perturbed by 1/dt, whose
+    node equations are the step system divided by dt.
     """
-    dtm, drv = driver
+    dtm = dt * form.m
     v = v_init.copy()
-    F = A0 @ v - dtm * drv.value(v) - rhs
+    F = A0 @ v - dtm * driver.value(v) - rhs
     norm0 = float(np.max(np.abs(F)))
-    if drv.constant_slope is not None:
-        J = A0 - np.diag(dtm * drv.constant_slope)
-        cho = sla.cho_factor(J, lower=True)
-        v = v + sla.cho_solve(cho, -F)
-        return v, 1
+    affine = driver.constant_slope is not None
     for it in range(1, max_iter + 1):
-        d = np.minimum(drv.deriv(v), 0.0)
-        J = A0 - np.diag(dtm * d)
+        if affine:
+            slope = driver.constant_slope
+        else:
+            slope = np.minimum(driver.deriv(v), 0.0)
         try:
-            cho = sla.cho_factor(J, lower=True)
+            cho = sla.cho_factor(A0 - np.diag(dtm * slope), lower=True)
         except sla.LinAlgError as exc:
             raise SolverError(f"{step_label}: step Jacobian not SPD ({exc})")
         delta = sla.cho_solve(cho, -F)
+        if affine:  # the Newton step is exact
+            return v + delta, 1
         alpha = 1.0
         for _ in range(40):
             v_new = v + alpha * delta
-            F_new = A0 @ v_new - dtm * drv.value(v_new) - rhs
+            F_new = A0 @ v_new - dtm * driver.value(v_new) - rhs
             if float(np.max(np.abs(F_new))) <= (1 - 0.25 * alpha) * float(np.max(np.abs(F))) + 1e-300:
                 break
             alpha *= 0.5
@@ -91,61 +94,12 @@ def _implicit_step(A0, m, driver, rhs, v_init, *, tol, max_iter, step_label):
         if float(np.max(np.abs(alpha * delta))) <= tol * (1.0 + float(np.max(np.abs(v)))):
             if float(np.max(np.abs(F))) <= max(1e-9 * (1 + norm0), 1e2 * tol):
                 return v, it
-    # damped Newton stalled: fall back to a per-node monotone scan
-    v, sweeps = _step_scan(A0, dtm, drv, rhs, v, tol)
-    return v, max_iter + sweeps
-
-
-def _step_scan(A0, dtm, drv, rhs, v, tol, max_sweeps=5000):
-    """Nonlinear per-node sweep on the step system with bisection node solves."""
-    n = v.size
-    diag = np.diag(A0).copy()
-    off = A0 - np.diag(diag)
-    for sweep in range(1, max_sweeps + 1):
-        change = 0.0
-        for x in range(n):
-            cx = rhs[x] - float(off[x] @ v)
-            root = _scalar_root(
-                lambda y, x=x: diag[x] * y - dtm[x] * float(
-                    drv.value_at(np.array([x]), np.array([y]))[0]),
-                cx, v[x], tol)
-            if root is None:
-                raise SolverError(f"step scan found no root at node {x}")
-            change = max(change, abs(root - v[x]))
-            v[x] = root
-        if change <= tol * (1.0 + float(np.max(np.abs(v)))):
-            return v, sweep
-    raise SolverError(f"step scan did not converge within {max_sweeps} sweeps")
-
-
-def _scalar_root(phi, target, guess, tol, bound=1e14):
-    """Root of the increasing function phi(y) = target by expanding bisection."""
-    lo = hi = float(guess)
-    step = max(1.0, abs(guess)) * 0.5
-    flo = phi(lo) - target
-    fhi = flo
-    while flo > 0.0:
-        lo -= step
-        step *= 2.0
-        if abs(lo) > bound:
-            return None
-        flo = phi(lo) - target
-    step = max(1.0, abs(guess)) * 0.5
-    while fhi < 0.0:
-        hi += step
-        step *= 2.0
-        if abs(hi) > bound:
-            return None
-        fhi = phi(hi) - target
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + abs(mid)):
-            return mid
-        if phi(mid) - target < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    from .elliptic import solve_elliptic_gauss_seidel
+    sol = solve_elliptic_gauss_seidel(
+        perturb(form, np.full(form.n, 1.0 / dt)), driver,
+        SignedMeasure(rhs / dt), x0=v,
+        tol=tol * (1.0 + float(np.max(np.abs(v)))), max_sweeps=5000)
+    return sol.u, max_iter + sol.diagnostics["sweeps"]
 
 
 def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
@@ -171,9 +125,7 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     steps = max(1, int(round(T / dt)))
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
-    M = np.diag(form.m)
-    A0 = M + dt * form.dense_L()
-    dtm = dt * form.m
+    A0 = np.diag(form.m) + dt * form.dense_L()
     surface = np.empty((steps + 1, form.n))
     surface[steps] = terminal
     total_iters = 0
@@ -182,7 +134,7 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         rhs = form.m * v + dt * mu.masses
         try:
             v, iters = _implicit_step(
-                A0, form.m, (dtm, driver), rhs, v,
+                A0, form, dt, driver, rhs, v,
                 tol=newton_tol, max_iter=max_newton,
                 step_label=f"step {j}")
         except SolverError as exc:
@@ -212,10 +164,6 @@ class LadderTrace:
     levels: list
     converged: bool
     achieved_tol: float = 0.0
-
-    def rows(self):
-        return [(lv.level, lv.horizon, lv.sup_increment, lv.inner_iterations)
-                for lv in self.levels]
 
     @property
     def final_level(self) -> int:
@@ -270,8 +218,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
         # Starting below the relaxation time makes the early sup-increments
         # grow while the solution mass fills in; the horizon origin is raised
         # to ln2/gap so the recorded increments decrease from the first level.
-        s = 1.0 / np.sqrt(form.m)
-        gap = float(sla.eigvalsh(form.dense_L() * s[:, None] * s[None, :])[0])
+        gap = form.spectral_gap()
         if gap > 1e-12:
             t0 = max(t0, np.log(2.0) / gap)
         schedule = [t0 * 2.0 ** j for j in range(1, max_levels + 1)]
@@ -291,7 +238,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
         # so the regularization defect caps the achievable ladder tolerance
         try:
             green_scale = float(np.max(np.abs(form.solve(form.m))))
-        except Exception:
+        except sla.LinAlgError:
             green_scale = 1.0
 
     u_prev = np.zeros(form.n)

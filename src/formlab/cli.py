@@ -20,9 +20,9 @@ from . import catalog as cat
 from .bsde import SolverError, martingale_residual_check
 from .convergence import StudyError, convergence_study
 from .drivers import DriverError
-from .elliptic import (duality_check, green_bound_check, l1_bound_check,
-                       solve_elliptic_gauss_seidel, solve_elliptic_ladder,
-                       solve_elliptic_mc, truncation_report, weak_form_check)
+from .elliptic import (METHODS, duality_check, green_bound_check,
+                       l1_bound_check, solve, truncation_report,
+                       weak_form_check)
 from .forms import FormError, GreenOperatorUndefined, is_transient
 from .markov import build_chain, default_horizon_cap, revuz_check, sample_path
 from .reports import Report, ladder_rows, path_trace_rows, vector_rows
@@ -55,21 +55,10 @@ def _load(args):
     return pid, problem
 
 
-def _solve(problem, method, args):
-    if method == "gauss-seidel":
-        return solve_elliptic_gauss_seidel(problem.form, problem.driver,
-                                           problem.mu, tol=args.tol)
-    if method == "ladder":
-        return solve_elliptic_ladder(problem.form, problem.driver, problem.mu)
-    if method == "mc":
-        return solve_elliptic_mc(problem.form, problem.driver, problem.mu,
-                                 n_paths=args.paths, seed=args.seed)
-    raise cat.DescriptorError(f"unknown method {method!r}")
-
-
 def cmd_solve(args) -> int:
     pid, problem = _load(args)
-    sol = _solve(problem, args.method, args)
+    sol = solve(problem, args.method, tol=args.tol,
+                n_paths=args.paths, seed=args.seed)
     out = args.out or _default_out()
     config = {"command": "solve", "problem": pid, "method": args.method,
               "seed": args.seed, "tol": args.tol, "paths": args.paths}
@@ -113,7 +102,8 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_rows(pid, problem, args):
-    sol = _solve(problem, args.method, args)
+    sol = solve(problem, args.method, tol=args.tol,
+                n_paths=args.paths, seed=args.seed)
     form, driver, mu = problem.form, problem.driver, problem.mu
     # Monte Carlo solutions carry per-node noise; the deterministic gates
     # get statistical allowances sized from the reported standard errors.
@@ -260,8 +250,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve a problem and export the solution")
     _add_common(p)
-    p.add_argument("--method", default="gauss-seidel",
-                   choices=["gauss-seidel", "ladder", "mc"])
+    p.add_argument("--method", default="gauss-seidel", choices=METHODS)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("simulate", help="sample chain paths")
@@ -274,8 +263,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the estimate suite on problems")
     _add_common(p)
-    p.add_argument("--method", default="gauss-seidel",
-                   choices=["gauss-seidel", "ladder", "mc"])
+    p.add_argument("--method", default="gauss-seidel", choices=METHODS)
     p.add_argument("--check-tol", type=float, default=1e-9)
     p.add_argument("--revuz-t", type=float, default=0.01)
     p.add_argument("--jobs", type=int, default=1)

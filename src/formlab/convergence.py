@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import build_catalog_problem
 from .drivers import Driver
-from .elliptic import solve_elliptic_gauss_seidel, solve_elliptic_ladder
+from .elliptic import solve
 from .forms import SignedMeasure
 
 
@@ -72,15 +72,6 @@ def boundary_exponent_fit(x, u, fraction=0.1):
     return float(slope)
 
 
-def _solve(problem, method, tol):
-    if method == "gauss-seidel":
-        return solve_elliptic_gauss_seidel(problem.form, problem.driver,
-                                           problem.mu, tol=tol)
-    if method == "ladder":
-        return solve_elliptic_ladder(problem.form, problem.driver, problem.mu)
-    raise StudyError(f"unknown study method {method!r}")
-
-
 def convergence_study(family: str, grid_sizes, method: str = "gauss-seidel",
                       *, alpha: float = 1.0, atom: float = 0.5,
                       tol: float = 1e-9) -> StudyReport:
@@ -88,6 +79,8 @@ def convergence_study(family: str, grid_sizes, method: str = "gauss-seidel",
     sizes = [int(s) for s in grid_sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise StudyError("study needs at least 3 strictly increasing grid sizes")
+    if method not in ("gauss-seidel", "ladder"):
+        raise StudyError(f"unknown study method {method!r}")
 
     errors, exponents, hs = [], [], []
     for n in sizes:
@@ -96,7 +89,7 @@ def convergence_study(family: str, grid_sizes, method: str = "gauss-seidel",
                 "family": "lap1d", "n": n,
                 "measure": [{"x": atom, "mass": 1.0}],
                 "driver": {"family": "zero"}})
-            sol = _solve(problem, method, tol)
+            sol = solve(problem, method, tol=tol)
             x = problem.form.space.labels
             placed = float(x[int(np.argmax(problem.mu.masses))])
             exact = green_profile_1d(x, placed)
@@ -106,7 +99,7 @@ def convergence_study(family: str, grid_sizes, method: str = "gauss-seidel",
             problem = build_catalog_problem({
                 "family": "diag", "n": n, "measure": "reference",
                 "driver": {"family": "zero"}})
-            sol = _solve(problem, method, tol)
+            sol = solve(problem, method, tol=tol)
             x = problem.form.space.labels
             errors.append(float(np.max(np.abs(sol.u - 1.0 / np.abs(x)))))
             exponents.append(None)
@@ -114,7 +107,7 @@ def convergence_study(family: str, grid_sizes, method: str = "gauss-seidel",
             problem = build_catalog_problem({
                 "family": "frac", "n": n, "alpha": alpha,
                 "driver": {"family": "affine", "a": 1.0, "b": 0.0}})
-            sol = _solve(problem, method, tol)
+            sol = solve(problem, method, tol=tol)
             x = problem.form.space.labels
             exponents.append(boundary_exponent_fit(x, sol.u))
             errors.append(None)

@@ -134,9 +134,6 @@ class Driver:
         u = np.asarray(u, dtype=float)
         return self.value_at(np.arange(self.n), u)
 
-    def __call__(self, x: int, y: float) -> float:
-        return self.scalar(int(x), float(y))
-
     def scalar(self, x: int, y: float) -> float:
         """Scalar f(x, y) without array overhead (hot path of node solvers)."""
         p = self.params

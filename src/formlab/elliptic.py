@@ -45,9 +45,6 @@ class EllipticSolution:
     method: str
     diagnostics: dict = field(default_factory=dict)
 
-    def recompute_residual(self, form: DirichletForm, mu: SignedMeasure) -> float:
-        return weak_form_residual(form, self.u, self.f_u, mu)
-
 
 def weak_form_residual(form, u, f_u, mu) -> float:
     return float(np.max(np.abs(form.L @ u - form.m * f_u - mu.masses)))
@@ -227,15 +224,27 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                                          bracket_bound=bracket_bound)
                 change = max(change, abs(new - u[x]))
                 u[x] = new
+        # an overflowing iterate shows first as an infinite change; once it
+        # turns to NaN the change reads 0 and only the residual shows it
+        if change == np.inf:
+            _raise_non_finite(u, sweeps)
         if change <= tol and prev_change <= tol:
             f_u = driver.value(u)
             residual = weak_form_residual(form, u, f_u, mu)
             if residual <= 10 * tol:
                 return EllipticSolution(u, f_u, residual, "gauss-seidel",
                                         {"sweeps": sweeps})
+            if not np.isfinite(residual):
+                _raise_non_finite(u, sweeps)
     raise SolverError(
         f"gauss-seidel did not converge in {max_sweeps} sweeps "
         f"(last change {change:g}, residual {residual:g})")
+
+
+def _raise_non_finite(u, sweep):
+    bad = int(np.argmax(~np.isfinite(u)))
+    raise SolverError(
+        f"gauss-seidel diverged: node {bad} is {u[bad]:g} after sweep {sweep}")
 
 
 def solve_elliptic_ladder(form: DirichletForm, driver: Driver,
@@ -336,6 +345,26 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         "capped_fraction": capped_fraction, "picard_iters": iters,
         "damping": theta, "n_paths": int(n_paths), "seed": int(seed),
         "horizon_cap": float(horizon_cap)})
+
+
+METHODS = ("gauss-seidel", "ladder", "mc")
+
+
+def solve(problem, method: str, *, tol: float = 1e-11,
+          n_paths: int = 100_000, seed: int = 0) -> EllipticSolution:
+    """Solve a Problem by one of METHODS.
+
+    tol is the Gauss-Seidel tolerance; n_paths and seed go to Monte Carlo;
+    the ladder runs at its own defaults.
+    """
+    form, driver, mu = problem.form, problem.driver, problem.mu
+    if method == "gauss-seidel":
+        return solve_elliptic_gauss_seidel(form, driver, mu, tol=tol)
+    if method == "ladder":
+        return solve_elliptic_ladder(form, driver, mu)
+    if method == "mc":
+        return solve_elliptic_mc(form, driver, mu, n_paths=n_paths, seed=seed)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +481,11 @@ class TruncationReport:
 
 def truncation_report(form: DirichletForm, solution: EllipticSolution,
                       mu: SignedMeasure, ks, tol: float = 1e-9) -> TruncationReport:
+    """Truncation and vanishing energies at each level k, with their bounds.
+
+    E(T_k u) <= k (||f_u||_L1 + |mu|(E)) for the clamp T_k, and the energy of
+    the unit slice above k is at most the mass of m|f_u| + |mu| on |u| >= k.
+    """
     ks = np.asarray(ks, dtype=float)
     u, f_u = solution.u, solution.f_u
     m = form.m
@@ -464,16 +498,6 @@ def truncation_report(form: DirichletForm, solution: EllipticSolution,
         float(np.sum((m * np.abs(f_u) + np.abs(mu.masses))[np.abs(u) >= k]))
         for k in ks])
     return TruncationReport(ks, te, tb, ve, vb, tol)
-
-
-def truncation_energy_check(form, solution, mu, ks, tol: float = 1e-9):
-    """Energy of the clamped solution against k (||f_u||_L1 + |mu|(E))."""
-    return truncation_report(form, solution, mu, ks, tol)
-
-
-def vanishing_energy_check(form, solution, mu, ks, tol: float = 1e-9):
-    """Energy of the unit slice above k against the tail mass beyond k."""
-    return truncation_report(form, solution, mu, ks, tol)
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,9 @@ class TransienceCertificate:
 class DirichletForm:
     """Symmetric jump weights plus killing over a StateSpace.
 
-    Instances are immutable after construction; the assembled Laplacian and
-    its Cholesky factor are cached read-only handles, so a form can be shared
-    freely across threads.
+    Instances are immutable after construction; the assembled Laplacian,
+    its Cholesky factor and its spectral gap are cached read-only, so a form
+    can be shared freely across threads.
     """
 
     def __init__(self, space: StateSpace, W: sp.csr_matrix, k: np.ndarray):
@@ -159,6 +159,7 @@ class DirichletForm:
         self._degree = _frozen_array(np.asarray(W.sum(axis=1)).ravel())
         self._L = None
         self._chol = None
+        self._gap = None
         self._components = None
         W.data.flags.writeable = False
 
@@ -193,9 +194,6 @@ class DirichletForm:
             self._L = L
         return self._L
 
-    def laplacian(self, u: np.ndarray) -> np.ndarray:
-        return self.L @ u
-
     def energy(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
         """E(u, v) by the defining double sum; E(u, u) when v is omitted."""
         u = np.asarray(u, dtype=float)
@@ -226,6 +224,18 @@ class DirichletForm:
             return sla.cho_solve(self.cholesky(), rhs)
         A = self.dense_L() + np.diag(alpha * self.m)
         return sla.cho_solve(sla.cho_factor(A, lower=True), rhs)
+
+    def spectral_gap(self) -> float:
+        """Smallest eigenvalue of the symmetrized Laplacian M^-1/2 L M^-1/2.
+
+        It is the decay rate of the chain's lifetime tail and is positive
+        exactly when the form is transient.
+        """
+        if self._gap is None:
+            s = 1.0 / np.sqrt(self.m)
+            A = self.dense_L() * s[:, None] * s[None, :]
+            self._gap = float(sla.eigvalsh(A)[0])
+        return self._gap
 
     def green_matrix(self) -> np.ndarray:
         """Dense inverse of L (the Green operator on node masses)."""
@@ -279,11 +289,6 @@ def build_form(space: StateSpace, W, k) -> DirichletForm:
             f"asymmetric weights: w[{r},{c}] differs from w[{c},{r}] "
             f"by {asym.data[j]}")
     return DirichletForm(space, Wm, k)
-
-
-def energy(form: DirichletForm, u, v) -> float:
-    """Bilinear energy E(u, v) of the form."""
-    return form.energy(np.asarray(u, float), np.asarray(v, float))
 
 
 def is_transient(form: DirichletForm):

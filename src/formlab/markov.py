@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .forms import DirichletForm, FormError, SignedMeasure
 
@@ -66,7 +65,6 @@ class Chain:
         self.lam = (form.degree + form.k) / m
         self.kappa = form.k / m
         self._build_alias()
-        self._lam0 = None
 
     @property
     def n(self) -> int:
@@ -134,14 +132,6 @@ class Chain:
             j = int(self.alias_alias[x, j])
         return int(self.alias_out[x, j])
 
-    def generator_gap(self) -> float:
-        """Smallest eigenvalue of the symmetrized generator M^-1/2 L M^-1/2."""
-        if self._lam0 is None:
-            s = 1.0 / np.sqrt(self.form.m)
-            A = self.form.dense_L() * s[:, None] * s[None, :]
-            self._lam0 = float(sla.eigvalsh(A)[0])
-        return self._lam0
-
 
 def build_chain(form: DirichletForm) -> Chain:
     """Extract jump and killing rates; rates w_xy/m_x and k_x/m_x."""
@@ -155,7 +145,7 @@ def default_horizon_cap(chain: Chain) -> float:
     40 / gap caps essentially nothing; otherwise fall back to 50 over the
     smallest positive total rate.
     """
-    gap = chain.generator_gap()
+    gap = chain.form.spectral_gap()
     if gap > 1e-12:
         return 40.0 / gap
     positive = chain.lam[chain.lam > 0]

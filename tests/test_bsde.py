@@ -79,6 +79,23 @@ def test_rejects_bad_arguments():
                                 np.zeros(2), 1.0, 0.1)
 
 
+@pytest.mark.parametrize("regularized", [False, True])
+def test_step_fallback_matches_newton(regularized):
+    # max_newton=0 hands every implicit step to the Gauss-Seidel fallback
+    rng = np.random.default_rng(45)
+    form = random_transient_form(rng, 6, 12)
+    drv = random_monotone_driver(rng, form.n)
+    if regularized:
+        drv = fl.yosida_regularize(drv, 4, {"R": 4.0, "delta": 4.0 / 2048})
+    mu = random_measure(rng, form.n)
+    T = 4.0 / float(np.min((form.degree + form.k) / form.m))
+    args = (form, drv, mu, np.zeros(form.n), T, T / 32)
+    newton = fl.solve_finite_horizon(*args)
+    fallback = fl.solve_finite_horizon(*args, max_newton=0)
+    assert fallback.diagnostics["inner_iterations"] > newton.diagnostics["steps"]
+    assert np.max(np.abs(fallback.surface - newton.surface)) <= 1e-10
+
+
 # -- random-horizon ladder ------------------------------------------------------
 
 def test_ladder_zero_data():

@@ -67,18 +67,18 @@ def test_density_roundtrip():
 
 def test_energy_zero_vector():
     form = two_node_form(w=2.0)
-    assert fl.energy(form, np.zeros(2), np.zeros(2)) == 0.0
+    assert form.energy(np.zeros(2), np.zeros(2)) == 0.0
 
 
 def test_energy_constant_killing_free():
     form = two_node_form(w=5.0)
-    assert fl.energy(form, np.full(2, 3.7), np.full(2, 3.7)) == 0.0
+    assert form.energy(np.full(2, 3.7), np.full(2, 3.7)) == 0.0
 
 
 def test_energy_cross_term_hand_expanded():
     # 1/2 [w (u0-u1)(v0-v1) + w (u1-u0)(v1-v0)] = w * (1)(-1) = -3
     form = two_node_form(w=3.0)
-    val = fl.energy(form, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    val = form.energy(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert val == pytest.approx(-3.0)
 
 
@@ -166,6 +166,7 @@ def test_transience_inequality_witness():
         form = random_transient_form(rng, 5, 20)
         s = 1.0 / np.sqrt(form.m)
         gap = np.linalg.eigvalsh(form.dense_L() * s[:, None] * s[None, :])[0]
+        assert form.spectral_gap() == pytest.approx(gap, rel=1e-12)
         g = np.sqrt(gap) / np.sqrt(np.sum(form.m))
         for _ in range(10):
             u = rng.normal(size=form.n) * rng.uniform(0.1, 10)

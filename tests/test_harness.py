@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,24 @@ def test_cli_usage_error_exit_2(tmp_path):
     desc.write_text(json.dumps({"family": "frac", "n": 16, "alpha": 3.0}))
     assert main(["solve", "--problem", str(desc), "--out", str(tmp_path)]) == 2
     assert main(["solve", "--out", str(tmp_path)]) == 2
+
+
+# a non-monotone driver (b > 0) that the descriptor loader accepts
+HOSTILE = {"family": "lap1d", "n": 16, "driver": {"family": "affine", "b": 50.0},
+           "measure": [{"x": 0.5, "mass": 1.0}]}
+
+
+@pytest.mark.parametrize("method", [["gauss-seidel"], ["ladder"],
+                                    ["mc", "--paths", "2000"]])
+def test_cli_non_monotone_driver_fails_cleanly(tmp_path, capsys, method):
+    desc = tmp_path / "hostile.json"
+    desc.write_text(json.dumps(HOSTILE))
+    start = time.perf_counter()
+    code = main(["solve", "--problem", str(desc), "--method", *method,
+                 "--out", str(tmp_path)])
+    assert code in (1, 2)
+    assert capsys.readouterr().err.strip()
+    assert time.perf_counter() - start < 10.0
 
 
 def test_cli_solve_reproducible_bytes(tmp_path):
