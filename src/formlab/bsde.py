@@ -58,13 +58,13 @@ class BsdeSolution:
         return float((1 - w) * self.surface[j, x] + w * self.surface[j + 1, x])
 
 
-def _implicit_step(A0, form, dt, driver, rhs, v_init, *, tol, max_iter,
-                   step_label):
+def _implicit_step(A0, form, dt, driver, rhs, v_init, *, tol, max_iter):
     """Solve A0 v - dt M f(v) = rhs, with A0 = M + dt L, by damped Newton.
 
     Affine drivers take one exact linear solve.  When Newton stalls, the
     step is finished by Gauss-Seidel on the form perturbed by 1/dt, whose
-    node equations are the step system divided by dt.
+    node equations are the step system divided by dt.  The caller names
+    the step in any SolverError raised here.
     """
     dtm = dt * form.m
     v = v_init.copy()
@@ -79,7 +79,7 @@ def _implicit_step(A0, form, dt, driver, rhs, v_init, *, tol, max_iter,
         try:
             cho = sla.cho_factor(A0 - np.diag(dtm * slope), lower=True)
         except sla.LinAlgError as exc:
-            raise SolverError(f"{step_label}: step Jacobian not SPD ({exc})")
+            raise SolverError(f"step Jacobian not SPD ({exc})")
         delta = sla.cho_solve(cho, -F)
         if affine:  # the Newton step is exact
             return v + delta, 1
@@ -135,8 +135,7 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         try:
             v, iters = _implicit_step(
                 A0, form, dt, driver, rhs, v,
-                tol=newton_tol, max_iter=max_newton,
-                step_label=f"step {j}")
+                tol=newton_tol, max_iter=max_newton)
         except SolverError as exc:
             raise SolverError(f"backward step {j} (t = {times[j]:.6g}): {exc}")
         if not np.all(np.isfinite(v)):

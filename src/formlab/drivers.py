@@ -21,7 +21,12 @@ from .forms import FormError, SignedMeasure
 
 
 class DriverError(ValueError):
-    """Invalid driver construction or regularization parameters."""
+    """Invalid driver construction or regularization parameters, or a
+    driver that increases in y where a solver needs it nonincreasing."""
+
+
+# a table segment counts as increasing only above this slope (rounding slack)
+_TABLE_SLOPE_TOL = 1e-12
 
 
 def _pernode(v, n, name):
@@ -98,7 +103,7 @@ class Driver:
             raise DriverError("tabulated values must be (n_nodes, len(ygrid))")
         slopes = np.diff(V, axis=1) / np.diff(y)
         return Driver(V.shape[0], "tabulated", {"y": y, "V": V, "slopes": slopes},
-                      monotone=bool(np.all(slopes <= 1e-12)),
+                      monotone=bool(np.all(slopes <= _TABLE_SLOPE_TOL)),
                       lipschitz=float(np.max(np.abs(slopes))))
 
     @staticmethod
@@ -199,10 +204,37 @@ class Driver:
 
     def _yosida_eval(self, idx, y):
         p = self.params
-        z, F, lip = p["z"], p["F"], p["n"]
-        # min over grid points of  n|y - z| + f(x, z)
-        pen = lip * np.abs(np.asarray(y, float)[:, None] - z[None, :])
-        return np.min(pen + F[idx, :], axis=1)
+        z, pre, suf, lip = p["z"], p["pre"], p["suf"], p["n"]
+        # grid points z_k <= y lie left of y and the rest right of it, so
+        # min_k f(x, z_k) + n|y - z_k| splits into two stored minima
+        y = np.asarray(y, dtype=float)
+        j = np.searchsorted(z, y, side="right")
+        # fmin keeps the finite side at y = +-inf, where the other reads nan
+        return np.fmin(lip * y + pre[idx, j], -lip * y + suf[idx, j])
+
+
+def require_monotone(driver: Driver) -> None:
+    """Raise DriverError unless y -> f(x, y) is nonincreasing at every node.
+
+    The message names the first node where f increases and the slope there;
+    regularized and truncated drivers are traced to the driver they wrap.
+    """
+    if driver.monotone:
+        return
+    base = driver
+    while base.family in ("yosida", "truncated"):
+        base = base.params["base"]
+    if base.family == "affine":
+        x = int(np.argmax(~(base.params["b"] <= 0)))
+        where = f"increases at node {x} with slope {base.params['b'][x]:g}"
+    elif base.family == "tabulated":
+        x, j = np.argwhere(~(base.params["slopes"] <= _TABLE_SLOPE_TOL))[0]
+        y = base.params["y"]
+        where = (f"increases at node {x} with slope "
+                 f"{base.params['slopes'][x, j]:g} on [{y[j]:g}, {y[j + 1]:g}]")
+    else:
+        where = f"is declared non-monotone ({base.family} family)"
+    raise DriverError(f"driver must be nonincreasing in y: f {where}")
 
 
 def yosida_regularize(driver: Driver, n: int, ygrid: dict) -> Driver:
@@ -213,6 +245,12 @@ def yosida_regularize(driver: Driver, n: int, ygrid: dict) -> Driver:
     "delta": spacing}.  The result is exactly n-Lipschitz in y; the familiar
     lower-bound and monotone-in-n properties hold on the z-grid and hold
     everywhere up to the quadrature defect n*delta reported in ``meta``.
+
+    The table f(x, z) is built with one vectorized call of the base driver.
+    Only its per-node prefix minima of f - n z and suffix minima of f + n z
+    are stored (``pre`` and ``suf``, padded with +inf where a side has no
+    grid point), so each evaluation is one binary search into the grid:
+    O(log G) time and O(1) memory per point for a grid of G points.
     """
     if n < 1:
         raise DriverError(f"regularization level must be >= 1, got {n}")
@@ -225,14 +263,19 @@ def yosida_regularize(driver: Driver, n: int, ygrid: dict) -> Driver:
     half = max(1, int(np.ceil(R / delta)))
     z = np.linspace(-R, R, 2 * half + 1)
     delta_eff = R / half
-    idx = np.arange(driver.n)
-    F = np.empty((driver.n, z.size))
-    for j, zj in enumerate(z):
-        F[:, j] = driver.value_at(idx, np.full(driver.n, zj))
+    lip = float(n)
+    F = driver.value_at(np.repeat(np.arange(driver.n), z.size),
+                        np.tile(z, driver.n)).reshape(driver.n, z.size)
+    # pre[:, j] = min_{k < j} F_k - n z_k and suf[:, j] = min_{k >= j} F_k + n z_k;
+    # the column with no grid point on its side keeps +inf
+    pre = np.full((driver.n, z.size + 1), np.inf)
+    suf = np.full((driver.n, z.size + 1), np.inf)
+    np.minimum.accumulate(F - lip * z, axis=1, out=pre[:, 1:])
+    np.minimum.accumulate((F + lip * z)[:, ::-1], axis=1, out=suf[:, -2::-1])
     return Driver(driver.n, "yosida",
-                  {"base": driver, "z": z, "F": F, "n": float(n)},
+                  {"base": driver, "z": z, "pre": pre, "suf": suf, "n": lip},
                   monotone=driver.monotone,
-                  lipschitz=float(n),
+                  lipschitz=lip,
                   meta={"quadrature_defect": n * delta_eff,
                         "R": R, "delta": delta_eff, "level": int(n)})
 

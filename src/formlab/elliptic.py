@@ -14,6 +14,9 @@ through three independent routes:
   mc            nonlinear Feynman-Kac with per-node occupation measures
                 sampled once and reused across Picard iterations.
 
+Each solver first checks that f is nonincreasing in y and raises DriverError
+naming the node where it increases.
+
 The check functions compute both sides of each estimate the solutions must
 satisfy and report slack; nothing is clipped silently.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import SolverError, solve_random_horizon_ladder
-from .drivers import Driver
+from .drivers import Driver, require_monotone
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
                     SignedMeasure, is_transient)
 from .markov import _path_rng, _simulate_batch, build_chain, default_horizon_cap
@@ -163,6 +166,7 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
     closed-form node solve.  Bipartite jump graphs get two-color vectorized
     sweeps; other graphs are swept node by node.
     """
+    require_monotone(driver)
     n = form.n
     diag_L = form.degree + form.k
     masses = mu.masses
@@ -252,6 +256,7 @@ def solve_elliptic_ladder(form: DirichletForm, driver: Driver,
                           steps_per_level: int = 128,
                           max_levels: int = 44) -> EllipticSolution:
     """Elliptic solution read off the random-horizon ladder, u = v(0, .)."""
+    require_monotone(driver)
     sol, trace = solve_random_horizon_ladder(
         form, driver, mu, tol_outer=tol_outer,
         steps_per_level=steps_per_level, max_levels=max_levels)
@@ -273,6 +278,7 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     (common random numbers), so the output is deterministic given the seed.
     Per-node standard errors are evaluated at the returned iterate.
     """
+    require_monotone(driver)
     transient, cert = is_transient(form)
     if not transient:
         raise GreenOperatorUndefined(

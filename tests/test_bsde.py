@@ -79,6 +79,19 @@ def test_rejects_bad_arguments():
                                 np.zeros(2), 1.0, 0.1)
 
 
+def test_failed_step_named_once():
+    # b > 0 makes the step Jacobian indefinite once dt*b*m outweighs M + dt L
+    p = fl.build_catalog_problem(
+        {"family": "lap1d", "n": 16, "driver": {"family": "affine", "b": 50.0},
+         "measure": [{"x": 0.5, "mass": 1.0}]})
+    with pytest.raises(SolverError) as err:
+        fl.solve_finite_horizon(p.form, p.driver, p.mu, np.zeros(16),
+                                1.0, 1.0 / 8)
+    msg = str(err.value)
+    assert msg.startswith("backward step 7 (t = 0.875): step Jacobian not SPD")
+    assert msg.count("step 7") == 1
+
+
 @pytest.mark.parametrize("regularized", [False, True])
 def test_step_fallback_matches_newton(regularized):
     # max_newton=0 hands every implicit step to the Gauss-Seidel fallback
@@ -202,6 +215,33 @@ def test_ladder_loose_grid_reports_honest_floor():
         form, fl.Driver.power(form.n, 1.0, 3.0, g), mu, tol=1e-12)
     gap = float(np.max(np.abs(sol.u - oracle.u)))
     assert gap <= trace.achieved_tol
+
+
+# reference values from the brute-force envelope (a min over every grid point)
+SQRT_LADDER_LEVELS = 3
+SQRT_LADDER_INNER = 1637
+SQRT_LADDER_TOL = 0.02341373425603001
+SQRT_LADDER_U = [
+    0.050813063238960565, 0.09860488010667663, 0.14372544171140417,
+    0.18643326211690478, 0.22693819975977372, 0.26541700544406605,
+    0.30202410339944125, 0.3368956290916659, 0.30765261883087275,
+    0.2766941820743552, 0.2439082479106313, 0.2091667650423721,
+    0.17232517070999995, 0.13321516618626694, 0.09163742777589304,
+    0.04734481266833335]
+
+
+def test_ladder_regularized_path_pinned():
+    # p = 0.5 has no slope bound at 0, so every level runs on the envelope
+    p = fl.build_catalog_problem(
+        {"family": "lap1d", "n": 16,
+         "driver": {"family": "power", "c": 1.0, "p": 0.5, "g": 1.0},
+         "measure": [{"x": 0.5, "mass": 1.0}]})
+    sol, trace = fl.solve_random_horizon_ladder(p.form, p.driver, p.mu)
+    assert all(lv.yosida_level == lv.level for lv in trace.levels)
+    assert len(trace.levels) == SQRT_LADDER_LEVELS
+    assert sum(lv.inner_iterations for lv in trace.levels) == SQRT_LADDER_INNER
+    assert trace.achieved_tol == SQRT_LADDER_TOL
+    assert np.max(np.abs(sol.u - SQRT_LADDER_U)) <= 1e-12
 
 
 def test_l1_bound_along_truncation_levels():

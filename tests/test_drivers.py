@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import formlab as fl
-from formlab.drivers import DriverError
+from formlab.drivers import DriverError, require_monotone
 
 
 def test_affine_eval_and_metadata():
@@ -106,12 +106,85 @@ def test_yosida_lipschitz_property():
     assert reg.lipschitz == 7.0
 
 
+class CountingCallable:
+    """Vectorized f(x, y) = g(x) - c(x) tanh(y) - y^3 that counts its calls."""
+
+    def __init__(self, g, c):
+        self.g, self.c, self.calls = np.asarray(g), np.asarray(c), 0
+
+    def __call__(self, idx, y):
+        self.calls += 1
+        return self.g[idx] - self.c[idx] * np.tanh(y) - y ** 3
+
+
+@st.composite
+def yosida_cases(draw):
+    nodes = draw(st.integers(1, 4))
+    coef = st.lists(st.floats(0.0, 2.0), min_size=nodes, max_size=nodes)
+    kind = draw(st.sampled_from(["power", "tabulated", "callable"]))
+    if kind == "power":
+        base = fl.Driver.power(nodes, draw(coef),
+                               draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0])),
+                               draw(coef))
+    elif kind == "tabulated":
+        knots = draw(st.integers(2, 6))
+        drops = draw(st.lists(
+            st.lists(st.floats(0.0, 3.0), min_size=knots, max_size=knots),
+            min_size=nodes, max_size=nodes))
+        base = fl.Driver.tabulated(np.linspace(-1.5, 1.5, knots),
+                                   2.0 - np.cumsum(drops, axis=1))
+    else:
+        base = fl.Driver.from_callable(
+            nodes, CountingCallable(draw(coef), draw(coef)), monotone=True)
+    level = draw(st.integers(1, 40))
+    R = draw(st.floats(0.25, 4.0))
+    grid = {"R": R, "delta": R / draw(st.integers(1, 300))}
+    # offsets in units of R cover the inside, both ends and beyond them;
+    # grid indices (mod G) land exactly on grid points
+    offsets = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+    on_grid = draw(st.lists(st.integers(0, 10 ** 4), max_size=20))
+    idx = draw(st.lists(st.integers(0, nodes - 1),
+                        min_size=len(offsets) + len(on_grid),
+                        max_size=len(offsets) + len(on_grid)))
+    return base, level, grid, np.array(offsets) * R, on_grid, np.array(idx)
+
+
+@given(case=yosida_cases())
+def test_yosida_envelope_matches_brute_force(case):
+    base, level, grid, ys_free, on_grid, idx = case
+    reg = fl.yosida_regularize(base, level, grid)
+    if base.family == "callable":
+        assert base.params["fn"].calls == 1  # one table call, not one per z
+    z = reg.params["z"]
+    ys = np.concatenate([ys_free, z[np.asarray(on_grid, dtype=int) % z.size]])
+    F = np.array([base.value_at(np.full(z.size, x), z) for x in range(base.n)])
+    brute = np.min(F[idx] + level * np.abs(ys[:, None] - z[None, :]), axis=1)
+    R = grid["R"]
+    bound = 4 * np.finfo(float).eps * (level * np.maximum(np.abs(ys), R)
+                                       + np.max(np.abs(F)))
+    assert np.all(np.abs(reg.value_at(idx, ys) - brute) <= bound)
+
+
 def test_yosida_rejects_bad_grid():
     d = fl.Driver.zero(1)
     with pytest.raises(DriverError):
         fl.yosida_regularize(d, 3, {"R": 0.0, "delta": 0.1})
     with pytest.raises(DriverError):
         fl.yosida_regularize(d, 3, {"R": 1.0, "delta": -0.1})
+
+
+def test_require_monotone_names_first_increase():
+    require_monotone(fl.Driver.power(2, 1.0, 0.5))
+    with pytest.raises(DriverError, match="node 1 with slope 0.5$"):
+        require_monotone(fl.Driver.affine(3, 0.0, [-1.0, 0.5, 2.0]))
+    table = fl.Driver.tabulated([0.0, 1.0, 2.0], [[1.0, 0.0, -1.0],
+                                                  [0.0, 0.0, 3.0]])
+    reg = fl.yosida_regularize(table, 2, {"R": 1.0, "delta": 0.1})
+    with pytest.raises(DriverError, match=r"node 1 with slope 3 on \[1, 2\]"):
+        require_monotone(reg)
+    rising = fl.Driver.from_callable(1, lambda idx, y: y, monotone=False)
+    with pytest.raises(DriverError, match="declared non-monotone"):
+        require_monotone(rising)
 
 
 # -- data truncation -----------------------------------------------------------
