@@ -29,13 +29,19 @@ import numpy as np
 import scipy.linalg as sla
 
 from .drivers import Driver, truncate_data, yosida_regularize
-from .forms import (DirichletForm, FormError, Problem, SignedMeasure,
-                    is_transient, perturb)
-from .markov import Chain, ChainPath, _path_rng, _simulate_batch, default_horizon_cap
+from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
+                    Problem, SignedMeasure, is_transient, perturb)
+from .markov import Chain, ChainPath, _lockstep, _path_rng, default_horizon_cap
 
 
 class SolverError(RuntimeError):
     """Nonlinear solve failed; the message names the step and node."""
+
+
+# Newton step tolerance of each implicit step, relative to 1 + max|v|.
+NEWTON_TOL = 1e-13
+# Yosida grid spacing as a fraction of the a priori radius.
+YOSIDA_DELTA_FRAC = 1.0 / 4096.0
 
 
 @dataclass
@@ -104,7 +110,6 @@ def _implicit_step(A0, form, dt, driver, rhs, v_init, *, tol, max_iter):
 
 def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
                          terminal, T: float, dt: float, *,
-                         newton_tol: float = 1e-13,
                          max_newton: int = 60) -> BsdeSolution:
     """Backward implicit-Euler integration of the value surface on [0, T].
 
@@ -135,7 +140,7 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         try:
             v, iters = _implicit_step(
                 A0, form, dt, driver, rhs, v,
-                tol=newton_tol, max_iter=max_newton)
+                tol=NEWTON_TOL, max_iter=max_newton)
         except SolverError as exc:
             raise SolverError(f"backward step {j} (t = {times[j]:.6g}): {exc}")
         if not np.all(np.isfinite(v)):
@@ -199,7 +204,6 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
                                 tol_outer: float = 1e-8,
                                 steps_per_level: int = 128,
                                 max_levels: int = 44,
-                                yosida_delta_frac: float = 1.0 / 4096.0,
                                 yosida_radius: float | None = None):
     """Random-horizon solution via the doubling-horizon ladder.
 
@@ -237,7 +241,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
         # so the regularization defect caps the achievable ladder tolerance
         try:
             green_scale = float(np.max(np.abs(form.solve(form.m))))
-        except sla.LinAlgError:
+        except GreenOperatorUndefined:
             green_scale = 1.0
 
     u_prev = np.zeros(form.n)
@@ -250,7 +254,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
         if needs_grid:
             drv = yosida_regularize(
                 driver, level,
-                {"R": radius, "delta": radius * yosida_delta_frac})
+                {"R": radius, "delta": radius * YOSIDA_DELTA_FRAC})
             yosida_level = level
             floor = green_scale * _regularization_defect(driver, drv,
                                                          radius / 2.0)
@@ -329,6 +333,37 @@ def _surface_quadrature(sol: BsdeSolution, driver, x, a, b):
     return float(np.sum(f * np.diff(pts)))
 
 
+def _checkpoint_values(chain: Chain, starts, rng, horizon: float, u, c, cps):
+    """M_t = u(X_t) - u(X_0) + int_0^t c(X_s) ds at the times cps, per path.
+
+    M freezes at the lifetime, after the final jump of u to 0.  Holding
+    windows [t_entry, t_entry + hold) are contiguous, so a checkpoint before
+    a path's end falls in exactly one of them; the checkpoints at or after
+    a killing time take the frozen value.  The horizon must lie beyond the
+    last checkpoint.  Returns a (len(starts), cps.size) array.
+    """
+    vals = np.zeros((len(starts), cps.size))
+    m = np.zeros(len(starts))
+    lifetime = np.full(len(starts), np.inf)
+    for step in _lockstep(chain, starts, rng, horizon):
+        t0 = step.t_entry[:, None]
+        r, k = np.nonzero((t0 <= cps) & (cps < t0 + step.hold[:, None]))
+        rows = step.idx[r]
+        vals[rows, k] = m[rows] + c[step.state[r]] * (cps[k] - step.t_entry[r])
+        jumps = ~step.capped
+        jidx, js, out = step.idx[jumps], step.state[jumps], step.outcome
+        m[jidx] += c[js] * step.hold[jumps]
+        killed = out == -1
+        moved = ~killed
+        m[jidx[killed]] -= u[js[killed]]
+        m[jidx[moved]] += u[out[moved]] - u[js[moved]]
+        t_exit = step.t_entry[jumps] + step.hold[jumps]
+        lifetime[jidx[killed]] = t_exit[killed]
+    r, k = np.nonzero(cps >= lifetime[:, None])
+    vals[r, k] = m[r]
+    return vals
+
+
 @dataclass(frozen=True)
 class MartingaleReport:
     """Per start node and checkpoint interval: mean increment and its SE."""
@@ -369,10 +404,9 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
     max_z = 0.0
     horizon = float(cps.max()) * (1.0 + 1e-9)
     for rank, x0 in enumerate(start_nodes):
-        starts = np.full(per, x0, dtype=np.int64)
-        res = _simulate_batch(chain, starts, _path_rng(seed, rank), horizon,
-                              mart=(u, c_vec), checkpoints=cps)
-        vals = res.checkpoint_values
+        vals = _checkpoint_values(chain, np.full(per, x0, dtype=np.int64),
+                                  _path_rng(seed, rank), horizon, u, c_vec,
+                                  cps)
         for ci in range(cps.size - 1):
             inc = vals[:, ci + 1] - vals[:, ci]
             mean = float(np.sum(inc) / per)

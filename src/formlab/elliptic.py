@@ -31,7 +31,7 @@ from .bsde import SolverError, solve_random_horizon_ladder
 from .drivers import Driver, require_monotone
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
                     SignedMeasure, is_transient)
-from .markov import _path_rng, _simulate_batch, build_chain, default_horizon_cap
+from .markov import _occupation, _path_rng, build_chain, default_horizon_cap
 
 
 class UnboundedSolutionError(SolverError):
@@ -266,11 +266,18 @@ def solve_elliptic_ladder(form: DirichletForm, driver: Driver,
                             {"ladder": trace, "levels": trace.final_level})
 
 
+# Monte Carlo Picard iteration: round budget, stopping tolerance relative to
+# 1 + max|u|, and initial damping.  A horizon-capped path fraction above
+# MAX_CAPPED_FRACTION stops the solve as suspected non-transience.
+PICARD_ITERS = 600
+PICARD_TOL = 1e-10
+PICARD_DAMPING = 0.5
+MAX_CAPPED_FRACTION = 1e-4
+
+
 def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
                       *, n_paths: int = 100_000, seed: int = 0,
-                      picard_iters: int = 600, picard_tol: float = 1e-10,
-                      damping: float = 0.5, horizon_cap: float | None = None,
-                      max_capped_fraction: float = 1e-4) -> EllipticSolution:
+                      horizon_cap: float | None = None) -> EllipticSolution:
     """Feynman-Kac Monte Carlo solution on empirical occupation measures.
 
     n_paths is the total budget, split evenly across start nodes.  Paths are
@@ -300,32 +307,31 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     addf = []          # per start node: per-path additive functional of mu
     capped_total = 0
     for x in range(n):
-        starts = np.full(counts[x], x, dtype=np.int64)
-        res = _simulate_batch(chain, starts, _path_rng(seed, x), horizon_cap,
-                              want_occupation=True)
-        capped_total += int(np.sum(res.capped))
-        occ_rows.append(res.occupation)
-        addf.append(res.occupation @ rho)
+        occ, capped = _occupation(chain, np.full(counts[x], x, dtype=np.int64),
+                                  _path_rng(seed, x), horizon_cap)
+        capped_total += capped
+        occ_rows.append(occ)
+        addf.append(occ @ rho)
     capped_fraction = capped_total / float(n_paths)
-    if capped_fraction > max_capped_fraction:
+    if capped_fraction > MAX_CAPPED_FRACTION:
         raise SolverError(
             f"horizon-capped fraction {capped_fraction:.2e} exceeds "
-            f"{max_capped_fraction:.0e}: non-transience suspected")
+            f"{MAX_CAPPED_FRACTION:.0e}: non-transience suspected")
 
     occ_mean = np.vstack([rows.mean(axis=0) for rows in occ_rows])
     add_mean = np.array([float(np.mean(a)) for a in addf])
 
     u = add_mean.copy()
     iters = 0
-    theta = damping
+    theta = PICARD_DAMPING
     prev_delta = np.inf
     growth = 0
-    for iters in range(1, picard_iters + 1):
+    for iters in range(1, PICARD_ITERS + 1):
         new = occ_mean @ driver.value(u) + add_mean
         nxt = (1.0 - theta) * u + theta * new
         delta = float(np.max(np.abs(nxt - u)))
         u = nxt
-        if delta <= picard_tol * (1.0 + float(np.max(np.abs(u)))):
+        if delta <= PICARD_TOL * (1.0 + float(np.max(np.abs(u)))):
             break
         # a growing iteration signals the damped map is not yet contractive
         growth = growth + 1 if delta > prev_delta else 0
@@ -338,7 +344,7 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         prev_delta = delta
     else:
         raise SolverError(
-            f"MC Picard iteration did not settle in {picard_iters} rounds")
+            f"MC Picard iteration did not settle in {PICARD_ITERS} rounds")
 
     f_u = driver.value(u)
     se = np.empty(n)
@@ -399,11 +405,6 @@ def duality_check(form: DirichletForm, solution: EllipticSolution,
     The default family is every Dirac measure, for which the residual vector
     is |u - G(M f_u + masses)| computed with one Green solve per node.
     """
-    transient, cert = is_transient(form)
-    if not transient:
-        raise GreenOperatorUndefined(
-            f"duality needs a transient form; killing-free component "
-            f"{cert.dead_component}")
     u, f_u = solution.u, solution.f_u
     if test_measures is None:
         res = np.abs(u - form.solve(form.m * f_u + mu.masses))
@@ -529,11 +530,6 @@ def tv_comparison_check(form: DirichletForm, mu1: SignedMeasure,
     hypothesis: a signed mu1 below mu2 can have larger total variation even
     with ordered potentials.
     """
-    transient, cert = is_transient(form)
-    if not transient:
-        raise GreenOperatorUndefined(
-            f"TV comparison needs a transient form; killing-free component "
-            f"{cert.dead_component}")
     if np.any(mu2.masses < 0):
         raise FormError("TV comparison requires mu2 >= 0")
     if np.any(mu1.masses < 0):

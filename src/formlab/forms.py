@@ -213,8 +213,17 @@ class DirichletForm:
         return self.L.toarray()
 
     def cholesky(self):
-        """Dense Cholesky factor of L; raises LinAlgError if L is singular."""
+        """Dense Cholesky factor of L.
+
+        Raises GreenOperatorUndefined, naming a killing-free component, when
+        the form is not transient, so L is singular.
+        """
         if self._chol is None:
+            dead = self._killing_free_component()
+            if dead is not None:
+                raise GreenOperatorUndefined(
+                    f"0-order Green operator undefined: killing-free "
+                    f"component {dead}")
             self._chol = sla.cho_factor(self.dense_L(), lower=True)
         return self._chol
 
@@ -251,6 +260,13 @@ class DirichletForm:
                 for c in range(n_comp))
             self._components = comps
         return self._components
+
+    def _killing_free_component(self):
+        """The first jump-graph component without killing, or None."""
+        for comp in self.components():
+            if float(np.sum(self._k[list(comp)])) <= 0.0:
+                return comp
+        return None
 
 
 def build_form(space: StateSpace, W, k) -> DirichletForm:
@@ -300,12 +316,12 @@ def is_transient(form: DirichletForm):
     the first killing-free component.
     """
     comps = form.components()
-    for comp in comps:
-        if float(np.sum(form.k[list(comp)])) <= 0.0:
-            cert = TransienceCertificate(
-                transient=False, components=comps, dead_component=comp,
-                witness="killing-free-component")
-            return False, cert
+    dead = form._killing_free_component()
+    if dead is not None:
+        cert = TransienceCertificate(
+            transient=False, components=comps, dead_component=dead,
+            witness="killing-free-component")
+        return False, cert
     # All components see killing: L is positive definite; factor it as witness.
     form.cholesky()
     cert = TransienceCertificate(
@@ -324,12 +340,6 @@ def potential(form: DirichletForm, mu: SignedMeasure, alpha: float = 0.0) -> np.
         raise FormError("measure and form dimensions differ")
     if alpha < 0:
         raise FormError(f"alpha must be nonnegative, got {alpha}")
-    if alpha == 0.0:
-        transient, cert = is_transient(form)
-        if not transient:
-            raise GreenOperatorUndefined(
-                f"0-order potential undefined: killing-free component "
-                f"{cert.dead_component}")
     return form.solve(mu.masses, alpha=alpha)
 
 
@@ -343,11 +353,7 @@ def equilibrium_potential(form: DirichletForm, B) -> tuple[np.ndarray, float]:
         raise FormError("equilibrium potential needs a nonempty node set")
     if B.min() < 0 or B.max() >= form.n:
         raise FormError(f"node set {B.tolist()} out of range for n = {form.n}")
-    transient, cert = is_transient(form)
-    if not transient:
-        raise GreenOperatorUndefined(
-            f"equilibrium potential undefined: killing-free component "
-            f"{cert.dead_component}")
+    form.cholesky()  # raises GreenOperatorUndefined unless transient
     e = np.zeros(form.n)
     e[B] = 1.0
     free = np.setdiff1d(np.arange(form.n), B)

@@ -10,9 +10,12 @@ Two sampling layers:
     substream per path index, merged by pairwise summation.  Used for
     path-functional experiments and as the slow reference for the batch
     engine.
-  * _simulate_batch: lockstep vectorized sampling of many paths from one
-    seeded stream.  Used by the occupation-measure solver, the Revuz check
-    and the martingale residual check.  Deterministic for fixed (seed, N).
+  * _lockstep: vectorized sampling of many paths from one seeded stream,
+    advanced together; it yields one Step per iteration and keeps no sums.
+    Its callers add up what they need: _occupation (the occupation-measure
+    solver), revuz_check, and the martingale residual check's checkpoint
+    recorder in bsde.  Deterministic for fixed (seed, starts).  With a
+    single start it walks the same path as sample_path on the same stream.
 """
 
 from __future__ import annotations
@@ -252,125 +255,71 @@ def mc_expectation(chain: Chain, x0: int, functional, N: int, seed: int,
     return mean, se
 
 
-@dataclass
-class BatchResult:
-    """Outputs of the lockstep path engine; fields are None unless requested."""
+@dataclass(frozen=True)
+class Step:
+    """One lockstep iteration over the paths still alive, indexed by ``idx``.
 
-    n_paths: int
-    capped: np.ndarray
-    lifetimes: np.ndarray
-    occupation: np.ndarray | None = None
-    integral: np.ndarray | None = None
-    checkpoint_values: np.ndarray | None = None
-
-    @property
-    def capped_fraction(self) -> float:
-        return float(np.mean(self.capped))
-
-
-def _simulate_batch(chain: Chain, starts, rng, horizon: float, *,
-                    want_occupation=False, integrand=None, mart=None,
-                    checkpoints=None) -> BatchResult:
-    """Lockstep simulation of len(starts) paths up to `horizon`.
-
-    integrand: per-state rate vector accumulated as sum hold * integrand[x].
-    mart: (u, c) pair for martingale sampling at `checkpoints`: the recorded
-    value at time t is u(X_t) - u(X_0) + int_0^t c(X_s) ds, frozen at the
-    killing time with the final jump u -> 0 included.
+    Path idx[i] sits in state[i] from t_entry[i] for hold[i].  Paths marked
+    ``capped`` reach the horizon and end, their hold cut there; the others
+    jump at t_entry + hold, and ``outcome`` lists their next states in the
+    order of idx[~capped], with -1 for the cemetery.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    N = starts.size
-    n = chain.n
 
-    state = starts.copy()
-    t = np.zeros(N)
-    alive = np.ones(N, dtype=bool)
-    capped = np.zeros(N, dtype=bool)
-    lifetimes = np.full(N, np.nan)
+    idx: np.ndarray
+    state: np.ndarray
+    t_entry: np.ndarray
+    hold: np.ndarray
+    capped: np.ndarray
+    outcome: np.ndarray
 
-    occ = np.zeros((N, n)) if want_occupation else None
-    integral = np.zeros(N) if integrand is not None else None
 
-    if mart is not None:
-        u_vec, c_vec = mart
-        cps = np.asarray(checkpoints, dtype=float)
-        mvals = np.zeros((N, cps.size))
-        recorded = np.zeros((N, cps.size), dtype=bool)
-        mcur = np.zeros(N)
-        horizon = max(horizon, float(cps.max()) * (1.0 + 1e-12))
-    else:
-        cps = None
+def _lockstep(chain: Chain, starts, rng, horizon: float):
+    """Simulate len(starts) paths in lockstep up to `horizon`; yield each Step.
 
+    Every iteration draws standard_exponential(alive), then random(jumps)
+    twice, so a fixed (rng, starts) gives a fixed sequence of Steps.
+    """
+    state = np.array(starts, dtype=np.int64)
+    t = np.zeros(state.size)
+    alive = np.ones(state.size, dtype=bool)
     while True:
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
-            break
+            return
         s = state[idx]
         lam = chain.lam[s]
         raw = rng.standard_exponential(idx.size)
         hold = np.where(lam > 0.0, raw / np.where(lam > 0.0, lam, 1.0), np.inf)
         t_entry = t[idx]
         t_exit = t_entry + hold
-        hits_cap = t_exit >= horizon
-        hold_eff = np.where(hits_cap, horizon - t_entry, hold)
-
-        if occ is not None:
-            np.add.at(occ, (idx, s), hold_eff)
-        if integral is not None:
-            integral[idx] += hold_eff * integrand[s]
-
-        if cps is not None:
-            # record M at checkpoints falling inside the holding interval;
-            # a checkpoint equal to the jump time sees the post-jump value
-            c_s = c_vec[s]
-            for ci, tau in enumerate(cps):
-                inwin = (t_entry <= tau) & (tau < t_entry + hold_eff) \
-                    & ~recorded[idx, ci]
-                if np.any(inwin):
-                    rows = idx[inwin]
-                    mvals[rows, ci] = mcur[rows] + c_s[inwin] * (tau - t_entry[inwin])
-                    recorded[rows, ci] = True
-
-        if np.any(hits_cap):
-            rows = idx[hits_cap]
-            capped[rows] = True
-            alive[rows] = False
-
-        jump_mask = ~hits_cap
-        if np.any(jump_mask):
-            jidx = idx[jump_mask]
-            js = s[jump_mask]
+        capped = t_exit >= horizon
+        jumps = ~capped
+        jidx = idx[jumps]
+        outcome = np.empty(0, dtype=np.int64)
+        if jidx.size:
             r1 = rng.random(jidx.size)
             r2 = rng.random(jidx.size)
-            outcome = chain.draw_next(js, r1, r2)
-            t[jidx] = t_exit[jump_mask]
-            if cps is not None:
-                mcur[jidx] += c_vec[js] * hold[jump_mask]
+            outcome = chain.draw_next(s[jumps], r1, r2)
+        yield Step(idx, s, t_entry, np.where(capped, horizon - t_entry, hold),
+                   capped, outcome)
+        alive[idx[capped]] = False
+        t[jidx] = t_exit[jumps]
+        killed = outcome == -1
+        alive[jidx[killed]] = False
+        state[jidx[~killed]] = outcome[~killed]
 
-            killed = outcome == -1
-            moved = ~killed
-            if np.any(killed):
-                krows = jidx[killed]
-                lifetimes[krows] = t[krows]
-                alive[krows] = False
-                if cps is not None:
-                    # the value process drops to 0 at the lifetime and M freezes
-                    mcur[krows] -= u_vec[js[killed]]
-                    for ci, tau in enumerate(cps):
-                        frozen = ~recorded[krows, ci]
-                        if np.any(frozen):
-                            rows = krows[frozen]
-                            mvals[rows, ci] = mcur[rows]
-                            recorded[rows, ci] = True
-            if np.any(moved):
-                if cps is not None:
-                    midx = jidx[moved]
-                    mcur[midx] += u_vec[outcome[moved]] - u_vec[js[moved]]
-                state[jidx[moved]] = outcome[moved]
 
-    return BatchResult(N, capped, lifetimes, occupation=occ,
-                       integral=integral,
-                       checkpoint_values=mvals if cps is not None else None)
+def _occupation(chain: Chain, starts, rng, horizon: float):
+    """Time each path spends in each state, and the number of capped paths.
+
+    Returns a (len(starts), n) occupation matrix and an int.
+    """
+    occ = np.zeros((len(starts), chain.n))
+    capped = 0
+    for step in _lockstep(chain, starts, rng, horizon):
+        np.add.at(occ, (step.idx, step.state), step.hold)
+        capped += int(np.count_nonzero(step.capped))
+    return occ, capped
 
 
 @dataclass(frozen=True)
@@ -410,9 +359,11 @@ def revuz_check(chain: Chain, f, mu: SignedMeasure, t: float, N: int,
     mass = float(np.sum(form.m))
     start_rng = _path_rng(seed, 0)
     starts = start_rng.choice(chain.n, size=N, p=form.m / mass)
-    res = _simulate_batch(chain, starts, _path_rng(seed, 1), t,
-                          integrand=f * rho)
-    samples = mass * res.integral / t
+    rate = f * rho
+    integral = np.zeros(N)
+    for step in _lockstep(chain, starts, _path_rng(seed, 1), t):
+        integral[step.idx] += step.hold * rate[step.state]
+    samples = mass * integral / t
     estimate = float(np.sum(samples) / N)
     se = float(np.std(samples, ddof=1) / np.sqrt(N))
     target = float(np.sum(f * mu.masses))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import formlab as fl
-from formlab.bsde import SolverError
+from formlab.bsde import SolverError, _checkpoint_values
+from formlab.markov import _occupation, _path_rng
 from formlab.randomized import (random_measure, random_monotone_driver,
                                 random_transient_form)
 
@@ -373,6 +374,39 @@ def test_zero_problem_increments_identically_zero():
         chain, np.zeros(2), fl.Driver.zero(2),
         fl.SignedMeasure(np.zeros(2)), N=2000, seed=1)
     assert rep.max_abs_z == 0.0
+
+
+def test_lockstep_engine_matches_single_path_exactly():
+    # with one start, the lockstep engine and sample_path walk the same path
+    # on the same substream, so its sums must equal the per-path references
+    rng = np.random.default_rng(41)
+    form = random_transient_form(rng, 6, 9)
+    drv = random_monotone_driver(rng, form.n)
+    mu = random_measure(rng, form.n)
+    u = rng.normal(size=form.n)
+    c = drv.value(u) + mu.density(form.space)
+    chain = fl.build_chain(form)
+    scale = fl.default_horizon_cap(chain) / 40.0
+    cps = scale * np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    horizon = float(cps.max()) * (1.0 + 1e-9)
+    for i in range(300):
+        x = i % form.n
+        path = fl.sample_path(chain, x, 0, horizon, rng=_path_rng(7, i))
+        occ, _ = _occupation(chain, [x], _path_rng(7, i), horizon)
+        ref = np.zeros(form.n)
+        np.add.at(ref, path.states, path.holds)
+        assert np.array_equal(occ[0], ref)
+
+        vals = _checkpoint_values(chain, [x], _path_rng(7, i), horizon, u, c,
+                                  cps)
+        times, M = fl.extract_martingale(path, u, drv, mu, form)
+        j = np.searchsorted(times, cps, side="right") - 1
+        alive = j < len(path)
+        jj = np.where(alive, j, 0)
+        expect = np.where(alive,
+                          M[jj] + c[path.states[jj]] * (cps - times[jj]),
+                          M[-1])
+        assert np.array_equal(vals[0], expect)
 
 
 # -- comparison -------------------------------------------------------------------

@@ -139,6 +139,26 @@ def test_mc_requires_transient():
                              fl.SignedMeasure(np.zeros(2)), n_paths=100, seed=0)
 
 
+def test_green_solves_raise_on_recurrent_form():
+    # killing-free path graph 0 - 1 - 2: L is singular
+    W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    form = fl.build_form(fl.StateSpace(np.ones(3)), W, np.zeros(3))
+    mu = fl.SignedMeasure(np.ones(3))
+    sol = fl.EllipticSolution(np.zeros(3), np.zeros(3), 0.0, "test")
+    calls = [
+        lambda: form.solve(np.ones(3)),
+        lambda: fl.potential(form, mu),
+        lambda: fl.equilibrium_potential(form, [0]),
+        lambda: fl.duality_check(form, sol, mu),
+        lambda: fl.tv_comparison_check(form, mu, mu),
+        lambda: fl.green_bound_check(form, sol, mu),
+    ]
+    for call in calls:
+        with pytest.raises(fl.GreenOperatorUndefined,
+                           match=r"killing-free component \(0, 1, 2\)"):
+            call()
+
+
 def test_mc_deterministic():
     rng = np.random.default_rng(13)
     form = random_transient_form(rng, 5, 6)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -9,6 +10,10 @@ import formlab as fl
 from formlab.cli import main
 from formlab.convergence import StudyError
 from formlab.reports import Report, fmt, vector_rows
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_fmt_roundtrip():
@@ -86,6 +91,9 @@ def test_cli_solve_reproducible_bytes(tmp_path):
                      "--paths", "5000", "--seed", "3", "--out", str(out)]) == 0
     assert (a / "solution-perturbed-g.csv").read_bytes() \
         == (b / "solution-perturbed-g.csv").read_bytes()
+    # pinned across commits: a change to these bytes must be deliberate
+    assert _sha256(a / "solution-perturbed-g.csv") == \
+        "78cc3d980bb684fa087a7c5de52e0eb9b2c5e9832e1e6c68e91c9557bc64284c"
 
 
 def test_cli_solve_ladder_writes_diagnostics(tmp_path):
@@ -117,6 +125,8 @@ def test_cli_verify_passes_and_writes(tmp_path):
             "vanishing-energy", "green-bound", "revuz",
             "martingale"} <= checks
     assert all(line.rsplit(",", 1)[1] == "True" for line in lines[1:])
+    assert _sha256(tmp_path / "verify.csv") == \
+        "3acfbcd2787f1c3aa48d4053d05b98f7cd9a7aad13c4a367177c1028d4d8ec7e"
 
 
 def test_cli_verify_env_default_out(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import formlab as fl
-from formlab.markov import SimulationError, _path_rng, _simulate_batch
+from formlab.markov import SimulationError, _occupation, _path_rng
 from formlab.randomized import random_measure, random_transient_form
 
 
@@ -158,12 +158,11 @@ def test_lifetime_identity_batch():
     cap = fl.default_horizon_cap(chain)
     exact = form.solve(form.m * np.ones(form.n))
     starts = np.full(60_000, 1, dtype=np.int64)
-    res = _simulate_batch(chain, starts, _path_rng(5), cap,
-                          want_occupation=True)
-    life = res.occupation.sum(axis=1)
+    occ, capped = _occupation(chain, starts, _path_rng(5), cap)
+    life = occ.sum(axis=1)
     mean = float(np.mean(life))
     se = float(np.std(life, ddof=1) / np.sqrt(life.size))
-    assert res.capped_fraction < 1e-4
+    assert capped / starts.size < 1e-4
     assert abs(mean - exact[1]) <= 3 * se
 
 
@@ -174,15 +173,14 @@ def test_batch_engine_matches_single_path_rates():
     chain = fl.build_chain(form)
     cap = fl.default_horizon_cap(chain)
     N = 40_000
-    batch = _simulate_batch(chain, np.zeros(N, dtype=np.int64), _path_rng(1),
-                            cap, want_occupation=True)
-    occ_batch = batch.occupation.mean(axis=0)
+    occ, _ = _occupation(chain, np.zeros(N, dtype=np.int64), _path_rng(1), cap)
+    occ_batch = occ.mean(axis=0)
     vals = np.zeros(form.n)
     for i in range(6000):
         p = fl.sample_path(chain, 0, 0, cap, rng=_path_rng(123, i))
         np.add.at(vals, p.states, p.holds)
     occ_single = vals / 6000
-    se = batch.occupation.std(axis=0, ddof=1) / np.sqrt(N)
+    se = occ.std(axis=0, ddof=1) / np.sqrt(N)
     assert np.all(np.abs(occ_batch - occ_single) <= 5 * (se + occ_single / np.sqrt(6000) + 1e-4))
 
 
