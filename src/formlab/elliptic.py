@@ -6,10 +6,13 @@ Every solver targets the shared node equations
 
 through three independent routes:
 
-  gauss-seidel  node sweeps, each scalar equation solved by expanding
-                bisection (the left side is increasing, the right side
-                nonincreasing, so the root is unique); two-color vectorized
-                sweeps on bipartite jump graphs.
+  gauss-seidel  over-relaxed node sweeps, each scalar equation solved by
+                expanding bisection (the left side is increasing, the right
+                side nonincreasing, so the root is unique); two-color
+                vectorized sweeps on bipartite jump graphs.  Updates are
+                scaled by Young's omega from the Jacobi radius of L; a
+                defect that blows up restores the best iterate and finishes
+                at omega = 1, plain Gauss-Seidel.
   ladder        the random-horizon backward construction (module bsde).
   mc            nonlinear Feynman-Kac with per-node occupation measures
                 sampled once and reused across Picard iterations.
@@ -154,17 +157,60 @@ def _bisect_scalar(diag, scale, drv, x, target, guess, *, tol, width,
     return 0.5 * (lo + hi)
 
 
+def _jacobi_radius(form: DirichletForm) -> float:
+    """Spectral radius of the Jacobi iteration matrix D^-1 W, D = diag(L).
+
+    D^-1 W is nonnegative, so its radius is its largest eigenvalue
+    (Perron-Frobenius), 1 - lambda_min(D^-1/2 L D^-1/2).  Every node must
+    have jumps or killing, so that D is positive.
+    """
+    return 1.0 - form._lowest_eigenvalue("diag")
+
+
+def _young_omega(form: DirichletForm) -> float:
+    """Young's over-relaxation factor 2 / (1 + sqrt(1 - rho_J^2)).
+
+    A recurrent form has rho_J = 1 and no linear contraction to accelerate,
+    so its sweeps run at omega = 1.  It shows as a node with neither jumps
+    nor killing, or as a lambda_min of D^-1/2 L D^-1/2 (a matrix of norm at
+    most 2) within the eigensolver's rounding, about 2 n eps, of zero.
+    """
+    if np.any(form.degree + form.k <= 0):
+        return 1.0
+    rho = _jacobi_radius(form)
+    if rho >= 1.0 - 2.0 * form.n * np.finfo(float).eps:
+        return 1.0
+    return 2.0 / (1.0 + float(np.sqrt(1.0 - rho * rho)))
+
+
+# While omega > 1, a sweep whose defect exceeds this multiple of the smallest
+# defect so far (or is not finite) ends over-relaxation.
+SOR_GROWTH_LIMIT = 1e3
+
+
 def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                                 mu: SignedMeasure, *, tol: float = 1e-11,
                                 max_sweeps: int = 2_000_000,
                                 bracket_bound: float = 1e12,
                                 x0=None) -> EllipticSolution:
-    """Nonlinear Gauss-Seidel sweeps with bisection node solves.
+    """Nonlinear over-relaxed Gauss-Seidel sweeps with bisection node solves.
 
-    Stops when both the sup-norm sweep change is at most tol and the defect
-    ||Lu - M f_u - mu||_inf is at most 10*tol.  Affine drivers use the exact
-    closed-form node solve.  Bipartite jump graphs get two-color vectorized
-    sweeps; other graphs are swept node by node.
+    Each node update is u += omega (u_GS - u), where u_GS solves the node's
+    equation with its neighbours held fixed: by the exact closed form for
+    affine drivers, by bisection otherwise.  Bipartite jump graphs get
+    two-color vectorized sweeps; other graphs are swept node by node.
+    omega is Young's factor 2 / (1 + sqrt(1 - rho_J^2)) for the Jacobi
+    radius rho_J of L, taken once per solve.  While omega > 1 the defect
+    ||Lu - M f_u - mu||_inf is computed after every sweep; if it turns
+    non-finite or grows SOR_GROWTH_LIMIT-fold past its smallest value, the
+    iterate with that smallest defect is restored and the sweeps finish at
+    omega = 1, where nonlinear Gauss-Seidel converges globally on these
+    monotone equations.
+
+    Stops when the sup-norm sweep change is at most tol on two sweeps in a
+    row and the defect is at most 10*tol.  diagnostics holds the sweep
+    count, the final omega and fallback_sweep (the sweep that ended
+    over-relaxation, or None).
     """
     require_monotone(driver)
     n = form.n
@@ -189,8 +235,10 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
     if coloring is not None:
         blocks = [(np.asarray(c, dtype=int), W[c, :].tocsr())
                   for c in coloring if len(c)]
+    omega = _young_omega(form)
+    fallback_sweep = None
+    best_residual, best_u = np.inf, u.copy()
 
-    residual = np.inf
     sweeps = 0
     change = np.inf
     while sweeps < max_sweeps:
@@ -212,8 +260,9 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                                         nodes, target, u[nodes],
                                         tol=node_tol, width=warm,
                                         bracket_bound=bracket_bound)
-                change = max(change, float(np.max(np.abs(new - u[nodes]), initial=0.0)))
-                u[nodes] = new
+                step = omega * (new - u[nodes])
+                change = max(change, float(np.max(np.abs(step), initial=0.0)))
+                u[nodes] += step
         else:
             indptr, indices, data = W.indptr, W.indices, W.data
             for x in range(n):
@@ -226,23 +275,39 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                                          driver, x, target, float(u[x]),
                                          tol=node_tol, width=warm,
                                          bracket_bound=bracket_bound)
-                change = max(change, abs(new - u[x]))
-                u[x] = new
+                step = omega * (new - u[x])
+                change = max(change, abs(step))
+                u[x] += step
+        f_u = None
+        if omega > 1.0:
+            f_u = driver.value(u)
+            residual = weak_form_residual(form, u, f_u, mu)
+            if not np.isfinite(residual) or \
+                    residual > SOR_GROWTH_LIMIT * best_residual:
+                u, omega, fallback_sweep = best_u, 1.0, sweeps
+                change = np.inf
+                continue
+            if residual < best_residual:
+                best_residual, best_u = residual, u.copy()
         # an overflowing iterate shows first as an infinite change; once it
         # turns to NaN the change reads 0 and only the residual shows it
         if change == np.inf:
             _raise_non_finite(u, sweeps)
         if change <= tol and prev_change <= tol:
-            f_u = driver.value(u)
-            residual = weak_form_residual(form, u, f_u, mu)
+            if f_u is None:
+                f_u = driver.value(u)
+                residual = weak_form_residual(form, u, f_u, mu)
             if residual <= 10 * tol:
-                return EllipticSolution(u, f_u, residual, "gauss-seidel",
-                                        {"sweeps": sweeps})
+                return EllipticSolution(u, f_u, residual, "gauss-seidel", {
+                    "sweeps": sweeps, "omega": omega,
+                    "fallback_sweep": fallback_sweep})
             if not np.isfinite(residual):
                 _raise_non_finite(u, sweeps)
+    defect = np.abs(form.L @ u - m * driver.value(u) - masses)
+    worst = int(np.argmax(defect))
     raise SolverError(
         f"gauss-seidel did not converge in {max_sweeps} sweeps "
-        f"(last change {change:g}, residual {residual:g})")
+        f"(last change {change:g}, residual {defect[worst]:g} at node {worst})")
 
 
 def _raise_non_finite(u, sweep):

@@ -148,8 +148,8 @@ class DirichletForm:
     """Symmetric jump weights plus killing over a StateSpace.
 
     Instances are immutable after construction; the assembled Laplacian,
-    its Cholesky factor and its spectral gap are cached read-only, so a form
-    can be shared freely across threads.
+    its Cholesky factor and its lowest scaled eigenvalues are cached
+    read-only, so a form can be shared freely across threads.
     """
 
     def __init__(self, space: StateSpace, W: sp.csr_matrix, k: np.ndarray):
@@ -159,7 +159,7 @@ class DirichletForm:
         self._degree = _frozen_array(np.asarray(W.sum(axis=1)).ravel())
         self._L = None
         self._chol = None
-        self._gap = None
+        self._lowest = {}
         self._components = None
         W.data.flags.writeable = False
 
@@ -240,11 +240,21 @@ class DirichletForm:
         It is the decay rate of the chain's lifetime tail and is positive
         exactly when the form is transient.
         """
-        if self._gap is None:
-            s = 1.0 / np.sqrt(self.m)
+        return self._lowest_eigenvalue("m")
+
+    def _lowest_eigenvalue(self, weight: str) -> float:
+        """Smallest eigenvalue of D^-1/2 L D^-1/2, cached per weight.
+
+        D = diag(m) for weight "m" (the spectral gap) and D = diag(L) for
+        weight "diag" (one minus the Jacobi radius); "diag" needs every
+        node to have jumps or killing.
+        """
+        if weight not in self._lowest:
+            d = self.m if weight == "m" else self._degree + self._k
+            s = 1.0 / np.sqrt(d)
             A = self.dense_L() * s[:, None] * s[None, :]
-            self._gap = float(sla.eigvalsh(A)[0])
-        return self._gap
+            self._lowest[weight] = float(sla.eigvalsh(A)[0])
+        return self._lowest[weight]
 
     def green_matrix(self) -> np.ndarray:
         """Dense inverse of L (the Green operator on node masses)."""

@@ -1,7 +1,14 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import formlab as fl
+from formlab import elliptic
+from formlab.catalog import CATALOG
 from formlab.elliptic import UnboundedSolutionError, level_slice, clamp
 from formlab.randomized import (random_measure, random_monotone_driver,
                                 random_transient_form)
@@ -79,6 +86,108 @@ def test_linearity_scaling():
     u1 = fl.solve_elliptic_gauss_seidel(form, drv, mu, tol=1e-13).u
     u2 = fl.solve_elliptic_gauss_seidel(form, drv, 2.0 * mu, tol=1e-13).u
     np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-9, atol=1e-12)
+
+
+def _sweep_form(kind, rng, n):
+    """Transient form on a path, a grid (both bipartite) or a dense kernel."""
+    if kind == "path":
+        W = np.zeros((n, n))
+        w = rng.uniform(0.5, 2.0, size=n - 1)
+        W[np.arange(n - 1), np.arange(1, n)] = w
+    elif kind == "grid":
+        side = max(2, int(round(np.sqrt(n))))
+        n = side * side
+        W = np.zeros((n, n))
+        for i in range(n):
+            if (i + 1) % side:
+                W[i, i + 1] = rng.uniform(0.5, 2.0)
+            if i + side < n:
+                W[i, i + side] = rng.uniform(0.5, 2.0)
+    else:
+        W = np.triu(rng.uniform(0.1, 1.0, size=(n, n)), 1)
+    W = W + W.T
+    k = np.zeros(n)
+    killed = rng.choice(n, size=max(1, n // 6), replace=False)
+    k[killed] = rng.uniform(0.05, 1.0, size=killed.size)
+    return fl.build_form(fl.StateSpace(rng.uniform(0.5, 2.0, size=n)), W, k)
+
+
+@given(kind=st.sampled_from(["path", "grid", "dense"]),
+       n=st.integers(3, 30), p=st.sampled_from([1.0, 2.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sor_agrees_with_unrelaxed_sweeps(kind, n, p, seed):
+    rng = np.random.default_rng(seed)
+    form = _sweep_form(kind, rng, n)
+    drv = fl.Driver.power(form.n, rng.uniform(0.0, 2.0, size=form.n), p,
+                          rng.uniform(-1.0, 1.0, size=form.n))
+    mu = random_measure(rng, form.n)
+    tol = 1e-11
+    sor = fl.solve_elliptic_gauss_seidel(form, drv, mu, tol=tol)
+    with mock.patch.object(elliptic, "_young_omega", lambda form: 1.0):
+        gs = fl.solve_elliptic_gauss_seidel(form, drv, mu, tol=tol)
+    assert gs.diagnostics["omega"] == 1.0
+    assert sor.residual <= 10 * tol and gs.residual <= 10 * tol
+    # both defects are small, so by monotonicity the iterates differ by at
+    # most ||G||_inf (r_1 + r_2); the floor absorbs rounding in the defects
+    green = float(np.max(form.solve(np.ones(form.n))))
+    bound = green * (sor.residual + gs.residual) + 1e-13
+    assert np.max(np.abs(sor.u - gs.u)) <= bound
+
+
+def test_sor_sweep_count_linear_in_n():
+    # plain Gauss-Seidel needs 122,594 sweeps here, over-relaxation ~1,400
+    p = fl.build_catalog_problem({**CATALOG["lap1d-dirac"], "n": 256})
+    sol = fl.solve_elliptic_gauss_seidel(p.form, p.driver, p.mu)
+    assert sol.diagnostics["sweeps"] <= 3000
+    assert sol.diagnostics["omega"] > 1.9
+    assert sol.diagnostics["fallback_sweep"] is None
+
+
+@pytest.mark.parametrize("pid", ["perturbed-g", "frac-a10"])
+def test_sor_safeguard_falls_back_to_gauss_seidel(pid, monkeypatch):
+    p = fl.build_catalog_problem(pid)
+    reference = fl.solve_elliptic_gauss_seidel(p.form, p.driver, p.mu)
+    monkeypatch.setattr(elliptic, "_young_omega", lambda form: 2.5)
+    sol = fl.solve_elliptic_gauss_seidel(p.form, p.driver, p.mu)
+    assert sol.diagnostics["fallback_sweep"] is not None
+    assert sol.diagnostics["omega"] == 1.0
+    assert sol.residual <= 1e-10
+    green = float(np.max(p.form.solve(np.ones(p.form.n))))
+    assert np.max(np.abs(sol.u - reference.u)) <= \
+        green * (sol.residual + reference.residual) + 1e-13
+
+
+def test_jacobi_radius_matches_dense_spectrum():
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        form = random_transient_form(rng, 5, 40)
+        s = 1.0 / np.sqrt(form.degree + form.k)
+        J = form.W.toarray() * s[:, None] * s[None, :]
+        brute = float(np.max(np.abs(np.linalg.eigvalsh(J))))
+        assert elliptic._jacobi_radius(form) == pytest.approx(brute, rel=1e-12)
+
+
+def test_young_omega_is_one_on_recurrent_form():
+    space = fl.StateSpace(np.ones(3))
+    path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    pair = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    # a killing-free path, and a killed pair beside an isolated bare node
+    for W, k in ((path, np.zeros(3)), (pair, np.array([1.0, 0.0, 0.0]))):
+        form = fl.build_form(space, W, k)
+        assert elliptic._young_omega(form) == 1.0
+        sol = fl.solve_elliptic_gauss_seidel(
+            form, fl.Driver.power(3, 1.0, 1.0, 0.0), fl.SignedMeasure(np.ones(3)))
+        assert sol.diagnostics["omega"] == 1.0 and sol.residual <= 1e-10
+
+
+def test_gs_nonconvergence_names_residual_and_node():
+    p = fl.build_catalog_problem({**CATALOG["lap1d-dirac"], "n": 48})
+    with pytest.raises(fl.SolverError, match="did not converge") as info:
+        fl.solve_elliptic_gauss_seidel(p.form, p.driver, p.mu, max_sweeps=3)
+    found = re.search(r"residual (\S+) at node (\d+)\)", str(info.value))
+    assert found is not None
+    assert np.isfinite(float(found.group(1)))
+    assert 0 <= int(found.group(2)) < p.form.n
 
 
 # -- ladder and mc ----------------------------------------------------------------
