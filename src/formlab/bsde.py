@@ -345,7 +345,7 @@ def _checkpoint_values(chain: Chain, starts, rng, horizon: float, u, c, cps):
     vals = np.zeros((len(starts), cps.size))
     m = np.zeros(len(starts))
     lifetime = np.full(len(starts), np.inf)
-    for step in _lockstep(chain, starts, rng, horizon):
+    for step in _lockstep(chain, [(starts, rng)], horizon):
         t0 = step.t_entry[:, None]
         r, k = np.nonzero((t0 <= cps) & (cps < t0 + step.hold[:, None]))
         rows = step.idx[r]

@@ -33,7 +33,7 @@ import numpy as np
 from .bsde import SolverError, solve_random_horizon_ladder
 from .drivers import Driver, require_monotone
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
-                    SignedMeasure, is_transient)
+                    SignedMeasure)
 from .markov import _occupation, _path_rng, build_chain, default_horizon_cap
 
 
@@ -345,17 +345,19 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
                       horizon_cap: float | None = None) -> EllipticSolution:
     """Feynman-Kac Monte Carlo solution on empirical occupation measures.
 
-    n_paths is the total budget, split evenly across start nodes.  Paths are
-    sampled once; the same paths are reused by every damped Picard iteration
-    (common random numbers), so the output is deterministic given the seed.
+    n_paths is the total budget, split evenly across start nodes.  All paths
+    run in one lockstep loop, each start's on its own substream
+    _path_rng(seed, x).  Paths are sampled once; the same paths are reused
+    by every damped Picard iteration (common random numbers), so the output
+    is deterministic given the seed.
     Per-node standard errors are evaluated at the returned iterate.
     """
     require_monotone(driver)
-    transient, cert = is_transient(form)
-    if not transient:
+    dead = form._killing_free_component()
+    if dead is not None:
         raise GreenOperatorUndefined(
             f"MC solver needs a transient form; killing-free component "
-            f"{cert.dead_component}")
+            f"{dead}")
     chain = build_chain(form)
     if horizon_cap is None:
         horizon_cap = default_horizon_cap(chain)
@@ -368,21 +370,17 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
             f"MC budget {n_paths} too small for {n} start nodes")
     rho = mu.density(form.space)
 
-    occ_rows = []      # per start node: (counts[x], n) occupation matrices
-    addf = []          # per start node: per-path additive functional of mu
-    capped_total = 0
-    for x in range(n):
-        occ, capped = _occupation(chain, np.full(counts[x], x, dtype=np.int64),
-                                  _path_rng(seed, x), horizon_cap)
-        capped_total += capped
-        occ_rows.append(occ)
-        addf.append(occ @ rho)
-    capped_fraction = capped_total / float(n_paths)
+    occ, capped = _occupation(
+        chain, [(np.full(counts[x], x, dtype=np.int64), _path_rng(seed, x))
+                for x in range(n)], horizon_cap)
+    capped_fraction = capped / float(n_paths)
     if capped_fraction > MAX_CAPPED_FRACTION:
         raise SolverError(
             f"horizon-capped fraction {capped_fraction:.2e} exceeds "
             f"{MAX_CAPPED_FRACTION:.0e}: non-transience suspected")
 
+    occ_rows = np.split(occ, np.cumsum(counts)[:-1])  # per start node, views
+    addf = [rows @ rho for rows in occ_rows]  # per-path additive functional
     occ_mean = np.vstack([rows.mean(axis=0) for rows in occ_rows])
     add_mean = np.array([float(np.mean(a)) for a in addf])
 

@@ -272,7 +272,19 @@ class DirichletForm:
         return self._components
 
     def _killing_free_component(self):
-        """The first jump-graph component without killing, or None."""
+        """The first jump-graph component without killing, or None.
+
+        First grows the set of nodes that reach killing along W, one sparse
+        mat-vec per unit of graph distance; the components are found only
+        when some node is left out, to name the one without killing.
+        """
+        reach = self._k > 0.0
+        frontier = reach
+        while frontier.any():
+            frontier = (self._W @ frontier.astype(float) > 0.0) & ~reach
+            reach = reach | frontier
+        if reach.all():
+            return None
         for comp in self.components():
             if float(np.sum(self._k[list(comp)])) <= 0.0:
                 return comp

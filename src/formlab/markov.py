@@ -10,16 +10,20 @@ Two sampling layers:
     substream per path index, merged by pairwise summation.  Used for
     path-functional experiments and as the slow reference for the batch
     engine.
-  * _lockstep: vectorized sampling of many paths from one seeded stream,
-    advanced together; it yields one Step per iteration and keeps no sums.
-    Its callers add up what they need: _occupation (the occupation-measure
-    solver), revuz_check, and the martingale residual check's checkpoint
-    recorder in bsde.  Deterministic for fixed (seed, starts).  With a
-    single start it walks the same path as sample_path on the same stream.
+  * _lockstep: vectorized sampling of many paths advanced together in one
+    loop; it yields one Step per iteration and keeps no sums.  The paths
+    come in blocks, each with its own seeded stream, and each block draws
+    exactly what it would draw if it ran alone, so a block's paths do not
+    depend on the other blocks.  Its callers add up what they need:
+    _occupation (the occupation-measure solver, one block per start node),
+    revuz_check, and the martingale residual check's checkpoint recorder in
+    bsde.  With a single start it walks the same path as sample_path on the
+    same stream.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,11 +162,20 @@ def default_horizon_cap(chain: Chain) -> float:
 
 
 def _path_rng(seed: int, index: int | None = None):
+    """Counter-based Philox stream for `seed`, or its substream `index`."""
+    if not seed >= 0:
+        raise FormError(f"seed must be a non-negative integer, got {seed}")
     if index is None:
         ss = np.random.SeedSequence(entropy=seed)
     else:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _check_horizon(horizon: float):
+    """A horizon must be > 0 (+inf allowed); NaN would never cap a path."""
+    if not horizon > 0:
+        raise FormError(f"horizon cap must be positive, got {horizon}")
 
 
 def sample_path(chain: Chain, x0: int, seed: int, horizon_cap: float,
@@ -173,8 +186,7 @@ def sample_path(chain: Chain, x0: int, seed: int, horizon_cap: float,
     """
     if not (0 <= x0 < chain.n):
         raise FormError(f"start node {x0} out of range")
-    if horizon_cap <= 0:
-        raise FormError(f"horizon cap must be positive, got {horizon_cap}")
+    _check_horizon(horizon_cap)
     if rng is None:
         rng = _path_rng(seed)
     expovariate = rng.standard_exponential
@@ -273,13 +285,22 @@ class Step:
     outcome: np.ndarray
 
 
-def _lockstep(chain: Chain, starts, rng, horizon: float):
-    """Simulate len(starts) paths in lockstep up to `horizon`; yield each Step.
+def _lockstep(chain: Chain, blocks, horizon: float):
+    """Simulate blocks of paths in lockstep up to `horizon`; yield each Step.
 
-    Every iteration draws standard_exponential(alive), then random(jumps)
-    twice, so a fixed (rng, starts) gives a fixed sequence of Steps.
+    `blocks` is a list of (starts, rng) pairs; block b's paths take the
+    next len(starts) path indices.  np.nonzero keeps idx sorted, so the
+    alive paths of each block are one contiguous slice of it.  Every
+    iteration, each block with alive paths draws standard_exponential(its
+    alive) from its own rng, then random(its jumps) twice when some jump:
+    the calls it would make alone, so its paths do not depend on the other
+    blocks.
     """
-    state = np.array(starts, dtype=np.int64)
+    _check_horizon(horizon)
+    rngs = [rng for _, rng in blocks]
+    starts = [np.asarray(s, dtype=np.int64) for s, _ in blocks]
+    bounds = np.cumsum([0] + [s.size for s in starts])
+    state = np.concatenate(starts)
     t = np.zeros(state.size)
     alive = np.ones(state.size, dtype=bool)
     while True:
@@ -287,9 +308,14 @@ def _lockstep(chain: Chain, starts, rng, horizon: float):
         if idx.size == 0:
             return
         s = state[idx]
+        raw = np.empty(idx.size)
+        cut = idx.searchsorted(bounds).tolist()
+        for rng, a, z in zip(rngs, cut, cut[1:]):
+            if a < z:
+                rng.standard_exponential(out=raw[a:z])
         lam = chain.lam[s]
-        raw = rng.standard_exponential(idx.size)
-        hold = np.where(lam > 0.0, raw / np.where(lam > 0.0, lam, 1.0), np.inf)
+        hold = np.divide(raw, lam, out=np.full(idx.size, np.inf),
+                         where=lam > 0.0)
         t_entry = t[idx]
         t_exit = t_entry + hold
         capped = t_exit >= horizon
@@ -297,28 +323,50 @@ def _lockstep(chain: Chain, starts, rng, horizon: float):
         jidx = idx[jumps]
         outcome = np.empty(0, dtype=np.int64)
         if jidx.size:
-            r1 = rng.random(jidx.size)
-            r2 = rng.random(jidx.size)
+            r1, r2 = [], []
+            cut = jidx.searchsorted(bounds).tolist()
+            for rng, a, z in zip(rngs, cut, cut[1:]):
+                if a < z:
+                    r1.append(rng.random(z - a))
+                    r2.append(rng.random(z - a))
+            r1, r2 = np.concatenate(r1), np.concatenate(r2)
             outcome = chain.draw_next(s[jumps], r1, r2)
         yield Step(idx, s, t_entry, np.where(capped, horizon - t_entry, hold),
                    capped, outcome)
+        # the state and clock of a path that ended are never read again
         alive[idx[capped]] = False
-        t[jidx] = t_exit[jumps]
-        killed = outcome == -1
-        alive[jidx[killed]] = False
-        state[jidx[~killed]] = outcome[~killed]
+        alive[jidx[outcome == -1]] = False
+        state[jidx] = outcome
+        t[idx] = t_exit
 
 
-def _occupation(chain: Chain, starts, rng, horizon: float):
+def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
+    """A zero (rows, cols) float array on its own anonymous memory mapping.
+
+    For a large array that lives for one call.  Through malloc, glibc's
+    dynamic mmap threshold puts the second and later such arrays on the
+    heap, where small allocations can split the freed block so the next
+    one grows the heap by its full size.  A mapping is zero-filled lazily
+    and goes back to the OS when the array is freed.
+    """
+    buf = mmap.mmap(-1, max(1, rows * cols) * 8)
+    return np.frombuffer(buf, dtype=float, count=rows * cols).reshape(
+        rows, cols)
+
+
+def _occupation(chain: Chain, blocks, horizon: float):
     """Time each path spends in each state, and the number of capped paths.
 
-    Returns a (len(starts), n) occupation matrix and an int.
+    Returns a (total paths, n) occupation matrix, its rows in block order,
+    and an int.  A path appears once per Step, so the indices of each
+    update are distinct.
     """
-    occ = np.zeros((len(starts), chain.n))
+    occ = _mapped_zeros(sum(np.size(s) for s, _ in blocks), chain.n)
     capped = 0
-    for step in _lockstep(chain, starts, rng, horizon):
-        np.add.at(occ, (step.idx, step.state), step.hold)
+    for step in _lockstep(chain, blocks, horizon):
+        occ[step.idx, step.state] += step.hold
         capped += int(np.count_nonzero(step.capped))
+        del step  # free its arrays before the engine builds the next Step
     return occ, capped
 
 
@@ -361,7 +409,7 @@ def revuz_check(chain: Chain, f, mu: SignedMeasure, t: float, N: int,
     starts = start_rng.choice(chain.n, size=N, p=form.m / mass)
     rate = f * rho
     integral = np.zeros(N)
-    for step in _lockstep(chain, starts, _path_rng(seed, 1), t):
+    for step in _lockstep(chain, [(starts, _path_rng(seed, 1))], t):
         integral[step.idx] += step.hold * rate[step.state]
     samples = mass * integral / t
     estimate = float(np.sum(samples) / N)

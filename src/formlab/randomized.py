@@ -66,6 +66,30 @@ def random_transient_form(rng, n_min=5, n_max=50) -> DirichletForm:
     return random_form(rng, n_min, n_max, n_components=1, killing="all")
 
 
+def random_shaped_form(rng, kind, n) -> DirichletForm:
+    """Transient form on a path, a grid (both bipartite) or a dense kernel."""
+    if kind == "path":
+        W = np.zeros((n, n))
+        w = rng.uniform(0.5, 2.0, size=n - 1)
+        W[np.arange(n - 1), np.arange(1, n)] = w
+    elif kind == "grid":
+        side = max(2, int(round(np.sqrt(n))))
+        n = side * side
+        W = np.zeros((n, n))
+        for i in range(n):
+            if (i + 1) % side:
+                W[i, i + 1] = rng.uniform(0.5, 2.0)
+            if i + side < n:
+                W[i, i + side] = rng.uniform(0.5, 2.0)
+    else:
+        W = np.triu(rng.uniform(0.1, 1.0, size=(n, n)), 1)
+    W = W + W.T
+    k = np.zeros(n)
+    killed = rng.choice(n, size=max(1, n // 6), replace=False)
+    k[killed] = rng.uniform(0.05, 1.0, size=killed.size)
+    return build_form(StateSpace(rng.uniform(0.5, 2.0, size=n)), W, k)
+
+
 def random_monotone_driver(rng, n) -> Driver:
     """Random nonincreasing driver: g(x) - c(x) sign(y)|y|^p, c >= 0."""
     c = rng.uniform(0.0, 2.0, size=n)

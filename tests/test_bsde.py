@@ -392,7 +392,7 @@ def test_lockstep_engine_matches_single_path_exactly():
     for i in range(300):
         x = i % form.n
         path = fl.sample_path(chain, x, 0, horizon, rng=_path_rng(7, i))
-        occ, _ = _occupation(chain, [x], _path_rng(7, i), horizon)
+        occ, _ = _occupation(chain, [([x], _path_rng(7, i))], horizon)
         ref = np.zeros(form.n)
         np.add.at(ref, path.states, path.holds)
         assert np.array_equal(occ[0], ref)

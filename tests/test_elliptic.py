@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ from formlab import elliptic
 from formlab.catalog import CATALOG
 from formlab.elliptic import UnboundedSolutionError, level_slice, clamp
 from formlab.randomized import (random_measure, random_monotone_driver,
-                                random_transient_form)
+                                random_shaped_form, random_transient_form)
 
 
 def single_node(m=1.0, k=1.0):
@@ -88,36 +91,12 @@ def test_linearity_scaling():
     np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-9, atol=1e-12)
 
 
-def _sweep_form(kind, rng, n):
-    """Transient form on a path, a grid (both bipartite) or a dense kernel."""
-    if kind == "path":
-        W = np.zeros((n, n))
-        w = rng.uniform(0.5, 2.0, size=n - 1)
-        W[np.arange(n - 1), np.arange(1, n)] = w
-    elif kind == "grid":
-        side = max(2, int(round(np.sqrt(n))))
-        n = side * side
-        W = np.zeros((n, n))
-        for i in range(n):
-            if (i + 1) % side:
-                W[i, i + 1] = rng.uniform(0.5, 2.0)
-            if i + side < n:
-                W[i, i + side] = rng.uniform(0.5, 2.0)
-    else:
-        W = np.triu(rng.uniform(0.1, 1.0, size=(n, n)), 1)
-    W = W + W.T
-    k = np.zeros(n)
-    killed = rng.choice(n, size=max(1, n // 6), replace=False)
-    k[killed] = rng.uniform(0.05, 1.0, size=killed.size)
-    return fl.build_form(fl.StateSpace(rng.uniform(0.5, 2.0, size=n)), W, k)
-
-
 @given(kind=st.sampled_from(["path", "grid", "dense"]),
        n=st.integers(3, 30), p=st.sampled_from([1.0, 2.0, 3.0]),
        seed=st.integers(0, 2**32 - 1))
 def test_sor_agrees_with_unrelaxed_sweeps(kind, n, p, seed):
     rng = np.random.default_rng(seed)
-    form = _sweep_form(kind, rng, n)
+    form = random_shaped_form(rng, kind, n)
     drv = fl.Driver.power(form.n, rng.uniform(0.0, 2.0, size=form.n), p,
                           rng.uniform(-1.0, 1.0, size=form.n))
     mu = random_measure(rng, form.n)
@@ -261,11 +240,29 @@ def test_green_solves_raise_on_recurrent_form():
         lambda: fl.duality_check(form, sol, mu),
         lambda: fl.tv_comparison_check(form, mu, mu),
         lambda: fl.green_bound_check(form, sol, mu),
+        lambda: fl.solve_elliptic_mc(form, fl.Driver.zero(3), mu,
+                                     n_paths=300, seed=0),
     ]
     for call in calls:
         with pytest.raises(fl.GreenOperatorUndefined,
                            match=r"killing-free component \(0, 1, 2\)"):
             call()
+
+
+def test_mc_solve_leaves_csgraph_unimported():
+    # on a transient form the killing reach is found by sparse mat-vecs, so
+    # the connected-components routine is never loaded
+    code = ("import sys, formlab as fl\n"
+            "p = fl.build_catalog_problem('lap1d-dirac')\n"
+            "fl.solve_elliptic_mc(p.form, p.driver, p.mu, n_paths=640)\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(fl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_mc_deterministic():

@@ -141,6 +141,17 @@ def test_two_components_killing_in_one():
     assert set(cert.dead_component) == {2, 3}
 
 
+@given(n_components=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_killing_free_component_matches_components(n_components, seed):
+    rng = np.random.default_rng(seed)
+    form = random_form(rng, 4, 30, n_components=n_components,
+                       killing="mixed")
+    dead = form._killing_free_component()
+    first = next((c for c in form.components()
+                  if float(np.sum(form.k[list(c)])) <= 0.0), None)
+    assert dead == first
+
+
 def test_transience_matches_green_probe_on_random_forms():
     rng = np.random.default_rng(7)
     disagreements = 0

@@ -84,6 +84,18 @@ def test_cli_non_monotone_driver_fails_cleanly(tmp_path, capsys, method):
     assert time.perf_counter() - start < 10.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--catalog", "lap1d-dirac", "--method", "mc", "--paths", "2000",
+     "--seed", "-1"],
+    ["verify", "--catalog", "lap1d-dirac", "--seed", "-2"],
+    ["simulate", "--catalog", "lap1d-dirac", "--seed", "-1"],
+])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"seed must be a non-negative integer, got {argv[-1]}" \
+        in capsys.readouterr().err
+
+
 def test_cli_solve_reproducible_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

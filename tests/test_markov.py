@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import formlab as fl
 from formlab.markov import SimulationError, _occupation, _path_rng
-from formlab.randomized import random_measure, random_transient_form
+from formlab.randomized import (random_measure, random_shaped_form,
+                                random_transient_form)
 
 
 def single_node(m=1.0, k=1.0):
@@ -158,7 +161,7 @@ def test_lifetime_identity_batch():
     cap = fl.default_horizon_cap(chain)
     exact = form.solve(form.m * np.ones(form.n))
     starts = np.full(60_000, 1, dtype=np.int64)
-    occ, capped = _occupation(chain, starts, _path_rng(5), cap)
+    occ, capped = _occupation(chain, [(starts, _path_rng(5))], cap)
     life = occ.sum(axis=1)
     mean = float(np.mean(life))
     se = float(np.std(life, ddof=1) / np.sqrt(life.size))
@@ -173,7 +176,8 @@ def test_batch_engine_matches_single_path_rates():
     chain = fl.build_chain(form)
     cap = fl.default_horizon_cap(chain)
     N = 40_000
-    occ, _ = _occupation(chain, np.zeros(N, dtype=np.int64), _path_rng(1), cap)
+    occ, _ = _occupation(chain, [(np.zeros(N, dtype=np.int64), _path_rng(1))],
+                         cap)
     occ_batch = occ.mean(axis=0)
     vals = np.zeros(form.n)
     for i in range(6000):
@@ -182,6 +186,49 @@ def test_batch_engine_matches_single_path_rates():
     occ_single = vals / 6000
     se = occ.std(axis=0, ddof=1) / np.sqrt(N)
     assert np.all(np.abs(occ_batch - occ_single) <= 5 * (se + occ_single / np.sqrt(6000) + 1e-4))
+
+
+@given(kind=st.sampled_from(["path", "grid", "dense"]), n=st.integers(3, 12),
+       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocks_run_as_if_alone(kind, n, sizes, seed):
+    # each block draws from its own stream exactly what it would draw alone,
+    # so one run over all blocks stacks the per-block runs bit for bit
+    rng = np.random.default_rng(seed)
+    form = random_shaped_form(rng, kind, n)
+    chain = fl.build_chain(form)
+    starts = [rng.integers(0, form.n, size=size) for size in sizes]
+
+    def run(horizon):
+        occ, capped = _occupation(
+            chain, [(s, _path_rng(seed, b)) for b, s in enumerate(starts)],
+            horizon)
+        alone = [_occupation(chain, [(s, _path_rng(seed, b))], horizon)
+                 for b, s in enumerate(starts)]
+        assert np.array_equal(occ, np.vstack([o for o, _ in alone]))
+        assert capped == sum(c for _, c in alone)
+        return occ, capped
+
+    occ, capped = run(np.inf)
+    assert capped == 0
+    # half the longest lifetime caps at least the longest path
+    _, capped = run(0.5 * float(np.max(occ.sum(axis=1))))
+    assert capped > 0
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, np.nan])
+def test_engine_rejects_bad_horizon(cap):
+    rng = np.random.default_rng(17)
+    form = random_transient_form(rng, 5, 8)
+    mu = random_measure(rng, form.n)
+    with pytest.raises(fl.FormError, match="horizon cap must be positive"):
+        fl.solve_elliptic_mc(form, fl.Driver.zero(form.n), mu, n_paths=100,
+                             seed=0, horizon_cap=cap)
+    with pytest.raises(fl.FormError, match="horizon cap must be positive"):
+        fl.sample_path(fl.build_chain(form), 0, 0, cap)
+    sol = fl.solve_elliptic_mc(form, fl.Driver.zero(form.n), mu, n_paths=100,
+                               seed=0, horizon_cap=np.inf)
+    assert sol.diagnostics["capped_fraction"] == 0.0
 
 
 # -- Revuz correspondence -----------------------------------------------------
