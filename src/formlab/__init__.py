@@ -1,9 +1,8 @@
 """Finite-state Dirichlet form solvers for semilinear equations with measure data."""
 
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined, Problem,
-                    SignedMeasure, StateSpace, TransienceCertificate,
-                    build_form, equilibrium_potential, is_transient,
-                    perturb, potential)
+                    SignedMeasure, StateSpace, build_form,
+                    equilibrium_potential, perturb, potential)
 from .drivers import Driver, DriverError, make_driver, truncate_data, yosida_regularize
 from .catalog import (CATALOG, DescriptorError, build_catalog_problem,
                       catalog_ids, load_problem)

@@ -30,7 +30,7 @@ import scipy.linalg as sla
 
 from .drivers import Driver, truncate_data, yosida_regularize
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
-                    Problem, SignedMeasure, is_transient, perturb)
+                    Problem, SignedMeasure, perturb)
 from .markov import Chain, ChainPath, _lockstep, _path_rng, default_horizon_cap
 
 
@@ -176,8 +176,7 @@ class LadderTrace:
 
 def _apriori_radius(form, driver, mu):
     """Sup-norm bound 2*||G(M|f0| + |mu|)||_inf when the form is transient."""
-    transient, _ = is_transient(form)
-    if not transient:
+    if form.killing_free_component() is not None:
         return None
     rhs = form.m * np.abs(driver.f0()) + np.abs(mu.masses)
     bound = float(np.max(np.abs(form.solve(rhs))))

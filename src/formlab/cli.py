@@ -22,8 +22,8 @@ from .convergence import StudyError, convergence_study
 from .drivers import DriverError
 from .elliptic import (METHODS, duality_check, green_bound_check,
                        l1_bound_check, solve, truncation_report,
-                       weak_form_check)
-from .forms import FormError, GreenOperatorUndefined, is_transient
+                       weak_form_check, weak_form_defect)
+from .forms import FormError, GreenOperatorUndefined
 from .markov import build_chain, default_horizon_cap, revuz_check, sample_path
 from .reports import Report, ladder_rows, path_trace_rows, vector_rows
 
@@ -34,13 +34,28 @@ def _default_out():
     return os.environ.get("FORMLAB_OUT", "formlab-out")
 
 
+def _positive(kind):
+    """argparse type: a finite number of the given kind, greater than 0."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not (value > 0 and np.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a positive finite {kind.__name__}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_common(p):
     p.add_argument("--catalog", help="catalog problem id (see `formlab catalog`)")
     p.add_argument("--problem", help="path to a JSON problem descriptor")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-11)
-    p.add_argument("--paths", type=int, default=100_000, help="MC path budget")
+    p.add_argument("--tol", type=_positive(float), default=1e-11)
+    p.add_argument("--paths", type=_positive(int), default=100_000,
+                   help="MC path budget")
 
 
 def _load(args):
@@ -131,8 +146,7 @@ def _verify_rows(pid, problem, args):
                                  + form.m * np.abs(driver.deriv(sol.u))))
         wf_gate = args.check_tol * 10 + 4.0 * float(np.max(mc_noise)) * row_scale
     add("weak-form", wf, wf_gate, wf <= wf_gate)
-    transient, _ = is_transient(form)
-    if transient:
+    if form.killing_free_component() is None:
         dual = duality_check(form, sol, mu, tol=det_gate)
         add("duality", dual.max_residual, det_gate, dual.passed)
         l1 = l1_bound_check(sol, driver, mu, form.m, tol=args.check_tol + l1_allow)
@@ -160,7 +174,7 @@ def _verify_rows(pid, problem, args):
                                    min(form.n, 8)).astype(int))
     # discount the solution's own algebraic defect before the z-ratio; the
     # per-node floor keeps 4-sigma tails meaningful for skewed increments
-    drift = float(np.max(np.abs(form.L @ sol.u - form.m * sol.f_u - mu.masses)
+    drift = float(np.max(np.abs(weak_form_defect(form, sol.u, sol.f_u, mu))
                          / form.m))
     mart = martingale_residual_check(
         chain, sol.u, driver, mu,
@@ -256,7 +270,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="sample chain paths")
     _add_common(p)
     p.add_argument("--start", type=int, default=0)
-    p.add_argument("--horizon", type=float, default=None)
+    p.add_argument("--horizon", type=_positive(float), default=None)
     p.add_argument("--trace", action="store_true",
                    help="dump per-step path trace rows")
     p.set_defaults(fn=cmd_simulate, paths=10)
@@ -264,9 +278,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run the estimate suite on problems")
     _add_common(p)
     p.add_argument("--method", default="gauss-seidel", choices=METHODS)
-    p.add_argument("--check-tol", type=float, default=1e-9)
-    p.add_argument("--revuz-t", type=float, default=0.01)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--check-tol", type=_positive(float), default=1e-9)
+    p.add_argument("--revuz-t", type=_positive(float), default=0.01)
+    p.add_argument("--jobs", type=_positive(int), default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="grid refinement study")

@@ -52,8 +52,13 @@ class EllipticSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def weak_form_defect(form, u, f_u, mu) -> np.ndarray:
+    """Per-node defect of the node equations, Lu - M f_u - masses(mu)."""
+    return form.L @ u - form.m * f_u - mu.masses
+
+
 def weak_form_residual(form, u, f_u, mu) -> float:
-    return float(np.max(np.abs(form.L @ u - form.m * f_u - mu.masses)))
+    return float(np.max(np.abs(weak_form_defect(form, u, f_u, mu))))
 
 
 def _two_coloring(W):
@@ -171,11 +176,13 @@ def _young_omega(form: DirichletForm) -> float:
     """Young's over-relaxation factor 2 / (1 + sqrt(1 - rho_J^2)).
 
     A recurrent form has rho_J = 1 and no linear contraction to accelerate,
-    so its sweeps run at omega = 1.  It shows as a node with neither jumps
-    nor killing, or as a lambda_min of D^-1/2 L D^-1/2 (a matrix of norm at
-    most 2) within the eigensolver's rounding, about 2 n eps, of zero.
+    so its sweeps run at omega = 1.  It is found by its killing-free
+    component (which also covers a node with neither jumps nor killing,
+    where D is not invertible).  A lambda_min of D^-1/2 L D^-1/2 (a matrix
+    of norm at most 2) within the eigensolver's rounding, about 2 n eps, of
+    zero also runs at omega = 1.
     """
-    if np.any(form.degree + form.k <= 0):
+    if form.killing_free_component() is not None:
         return 1.0
     rho = _jacobi_radius(form)
     if rho >= 1.0 - 2.0 * form.n * np.finfo(float).eps:
@@ -208,10 +215,12 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
     monotone equations.
 
     Stops when the sup-norm sweep change is at most tol on two sweeps in a
-    row and the defect is at most 10*tol.  diagnostics holds the sweep
-    count, the final omega and fallback_sweep (the sweep that ended
-    over-relaxation, or None).
+    row and the defect is at most 10*tol; tol must be a positive finite
+    number, else FormError.  diagnostics holds the sweep count, the final
+    omega and fallback_sweep (the sweep that ended over-relaxation, or None).
     """
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise FormError(f"tol must be a positive finite number, got {tol}")
     require_monotone(driver)
     n = form.n
     diag_L = form.degree + form.k
@@ -303,7 +312,7 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                     "fallback_sweep": fallback_sweep})
             if not np.isfinite(residual):
                 _raise_non_finite(u, sweeps)
-    defect = np.abs(form.L @ u - m * driver.value(u) - masses)
+    defect = np.abs(weak_form_defect(form, u, driver.value(u), mu))
     worst = int(np.argmax(defect))
     raise SolverError(
         f"gauss-seidel did not converge in {max_sweeps} sweeps "
@@ -353,7 +362,7 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     Per-node standard errors are evaluated at the returned iterate.
     """
     require_monotone(driver)
-    dead = form._killing_free_component()
+    dead = form.killing_free_component()
     if dead is not None:
         raise GreenOperatorUndefined(
             f"MC solver needs a transient form; killing-free component "

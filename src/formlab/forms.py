@@ -9,6 +9,11 @@ and a vector k of nonnegative killing weights.  The energy is
 and the form Laplacian L, defined by (Lu)_x = sum_y w_xy (u_x - u_y) + k_x u_x,
 satisfies E(u, v) = v . Lu.  The operator acting on functions is -(Lu)_x / m_x.
 
+The form is transient, so that L is positive definite and the 0-order
+Green operator G = L^-1 exists, exactly when every connected component of
+the jump graph carries killing; DirichletForm.killing_free_component() is
+the one test of it, returning None or the component without killing.
+
 Every node-level equation in this package is written in the shared assembly
 convention  (Lu)(x) = m_x f(x, u_x) + mu({x}).
 """
@@ -129,26 +134,11 @@ class SignedMeasure:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class TransienceCertificate:
-    """Witness for the transience decision.
-
-    ``dead_component`` lists the nodes of a killing-free connected component
-    when the form is recurrent; ``witness`` names the supporting evidence
-    ("cholesky" for a successful SPD factorization of L).
-    """
-
-    transient: bool
-    components: tuple
-    dead_component: tuple | None
-    witness: str
-
-
 class DirichletForm:
     """Symmetric jump weights plus killing over a StateSpace.
 
     Instances are immutable after construction; the assembled Laplacian,
-    its Cholesky factor and its lowest scaled eigenvalues are cached
+    its Cholesky (Green) factor and its lowest scaled eigenvalues are cached
     read-only, so a form can be shared freely across threads.
     """
 
@@ -158,7 +148,7 @@ class DirichletForm:
         self._k = _frozen_array(k)
         self._degree = _frozen_array(np.asarray(W.sum(axis=1)).ravel())
         self._L = None
-        self._chol = None
+        self._green = None
         self._lowest = {}
         self._components = None
         W.data.flags.writeable = False
@@ -212,25 +202,19 @@ class DirichletForm:
     def dense_L(self) -> np.ndarray:
         return self.L.toarray()
 
-    def cholesky(self):
-        """Dense Cholesky factor of L.
-
-        Raises GreenOperatorUndefined, naming a killing-free component, when
-        the form is not transient, so L is singular.
-        """
-        if self._chol is None:
-            dead = self._killing_free_component()
-            if dead is not None:
-                raise GreenOperatorUndefined(
-                    f"0-order Green operator undefined: killing-free "
-                    f"component {dead}")
-            self._chol = sla.cho_factor(self.dense_L(), lower=True)
-        return self._chol
-
     def solve(self, rhs: np.ndarray, alpha: float = 0.0) -> np.ndarray:
-        """Solve (L + alpha*M) u = rhs; alpha = 0 needs a transient form."""
+        """Solve (L + alpha*M) u = rhs; alpha = 0 needs a transient form.
+
+        The dense Cholesky factor of L (the Green factor) is computed on the
+        first alpha = 0 solve and cached.  On a form that is not transient,
+        where L is singular, an alpha = 0 solve raises
+        GreenOperatorUndefined naming a killing-free component.
+        """
         if alpha == 0.0:
-            return sla.cho_solve(self.cholesky(), rhs)
+            if self._green is None:
+                _require_transient(self)
+                self._green = sla.cho_factor(self.dense_L(), lower=True)
+            return sla.cho_solve(self._green, rhs)
         A = self.dense_L() + np.diag(alpha * self.m)
         return sla.cho_solve(sla.cho_factor(A, lower=True), rhs)
 
@@ -256,10 +240,6 @@ class DirichletForm:
             self._lowest[weight] = float(sla.eigvalsh(A)[0])
         return self._lowest[weight]
 
-    def green_matrix(self) -> np.ndarray:
-        """Dense inverse of L (the Green operator on node masses)."""
-        return sla.cho_solve(self.cholesky(), np.eye(self.n))
-
     def components(self) -> tuple:
         """Connected components of the jump graph (killing ignored)."""
         if self._components is None:
@@ -271,12 +251,13 @@ class DirichletForm:
             self._components = comps
         return self._components
 
-    def _killing_free_component(self):
+    def killing_free_component(self):
         """The first jump-graph component without killing, or None.
 
-        First grows the set of nodes that reach killing along W, one sparse
-        mat-vec per unit of graph distance; the components are found only
-        when some node is left out, to name the one without killing.
+        The form is transient exactly when this is None.  First grows the
+        set of nodes that reach killing along W, one sparse mat-vec per unit
+        of graph distance; the components are found only when some node is
+        left out, to name the one without killing.
         """
         reach = self._k > 0.0
         frontier = reach
@@ -329,27 +310,13 @@ def build_form(space: StateSpace, W, k) -> DirichletForm:
     return DirichletForm(space, Wm, k)
 
 
-def is_transient(form: DirichletForm):
-    """Decide transience and return (flag, certificate).
-
-    The form is transient iff every W-connected component contains a node
-    with positive killing, which on a finite space is equivalent to L being
-    positive definite.  The certificate carries either a Cholesky witness or
-    the first killing-free component.
-    """
-    comps = form.components()
-    dead = form._killing_free_component()
+def _require_transient(form: DirichletForm) -> None:
+    """Raise GreenOperatorUndefined, naming the component, unless transient."""
+    dead = form.killing_free_component()
     if dead is not None:
-        cert = TransienceCertificate(
-            transient=False, components=comps, dead_component=dead,
-            witness="killing-free-component")
-        return False, cert
-    # All components see killing: L is positive definite; factor it as witness.
-    form.cholesky()
-    cert = TransienceCertificate(
-        transient=True, components=comps, dead_component=None,
-        witness="cholesky")
-    return True, cert
+        raise GreenOperatorUndefined(
+            f"0-order Green operator undefined: killing-free "
+            f"component {dead}")
 
 
 def potential(form: DirichletForm, mu: SignedMeasure, alpha: float = 0.0) -> np.ndarray:
@@ -375,7 +342,7 @@ def equilibrium_potential(form: DirichletForm, B) -> tuple[np.ndarray, float]:
         raise FormError("equilibrium potential needs a nonempty node set")
     if B.min() < 0 or B.max() >= form.n:
         raise FormError(f"node set {B.tolist()} out of range for n = {form.n}")
-    form.cholesky()  # raises GreenOperatorUndefined unless transient
+    _require_transient(form)
     e = np.zeros(form.n)
     e[B] = 1.0
     free = np.setdiff1d(np.arange(form.n), B)

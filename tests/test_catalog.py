@@ -45,8 +45,7 @@ def test_frac_assembly_and_range():
     assert form.W[i, j] == pytest.approx(expect)
     expect_k = c * h * ((1 - x[i]) ** (-1.0) + (1 + x[i]) ** (-1.0))
     assert form.k[i] == pytest.approx(expect_k)
-    flag, _ = fl.is_transient(form)
-    assert flag
+    assert form.killing_free_component() is None
 
 
 def test_frac_rejects_alpha_out_of_range():
@@ -71,8 +70,7 @@ def test_diag_rejects_node_at_zero():
 
 def test_perturbed_family_transient():
     prob = fl.build_catalog_problem("perturbed-g")
-    flag, _ = fl.is_transient(prob.form)
-    assert flag
+    assert prob.form.killing_free_component() is None
     # base chain is killing-free: all killing comes from g * m
     np.testing.assert_allclose(prob.form.k, prob.form.m)
 
@@ -104,8 +102,7 @@ def test_catalog_ids_build(catalog_problems):
         assert prob.form.n >= 2
         assert prob.mu.n == prob.form.n
         assert prob.driver.n == prob.form.n
-        flag, _ = fl.is_transient(prob.form)
-        assert flag, pid
+        assert prob.form.killing_free_component() is None, pid
 
 
 def test_lap2d_constant_coefficient_structure():

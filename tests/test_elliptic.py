@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -169,6 +170,16 @@ def test_gs_nonconvergence_names_residual_and_node():
     assert 0 <= int(found.group(2)) < p.form.n
 
 
+@pytest.mark.parametrize("pid, tol", [("diag-5.7", np.nan),
+                                      ("diag-5.7", -1.0),
+                                      ("perturbed-g", 0.0),
+                                      ("perturbed-g", np.inf)])
+def test_gs_rejects_tol_it_cannot_reach(pid, tol):
+    p = fl.build_catalog_problem(pid)
+    with pytest.raises(fl.FormError, match=f"got {tol}"):
+        fl.solve_elliptic_gauss_seidel(p.form, p.driver, p.mu, tol=tol)
+
+
 # -- ladder and mc ----------------------------------------------------------------
 
 def test_ladder_solver_agrees_with_gs():
@@ -249,12 +260,23 @@ def test_green_solves_raise_on_recurrent_form():
             call()
 
 
-def test_mc_solve_leaves_csgraph_unimported():
+@pytest.mark.parametrize("call", [
+    "fl.solve_elliptic_mc(p.form, p.driver, p.mu, n_paths=640)",
+    "fl.solve_elliptic_ladder(p.form, p.driver, p.mu)",
+    "main(['verify', '--problem', desc, '--method', 'ladder',"
+    " '--paths', '2000', '--out', out])",
+], ids=["mc", "ladder", "verify"])
+def test_transient_solves_leave_csgraph_unimported(tmp_path, call):
     # on a transient form the killing reach is found by sparse mat-vecs, so
     # the connected-components routine is never loaded
+    desc = tmp_path / "p.json"
+    desc.write_text(json.dumps({"family": "lap1d", "n": 6,
+                                "measure": [{"x": 0.5, "mass": 1.0}]}))
     code = ("import sys, formlab as fl\n"
-            "p = fl.build_catalog_problem('lap1d-dirac')\n"
-            "fl.solve_elliptic_mc(p.form, p.driver, p.mu, n_paths=640)\n"
+            "from formlab.cli import main\n"
+            f"desc, out = {str(desc)!r}, {str(tmp_path)!r}\n"
+            "p = fl.load_problem(desc)\n"
+            f"{call}\n"
             "print('scipy.sparse.csgraph' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(fl.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -262,7 +284,7 @@ def test_mc_solve_leaves_csgraph_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_mc_deterministic():

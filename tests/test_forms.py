@@ -118,16 +118,12 @@ def test_normal_contraction(u, k):
 
 def test_transient_killing_free_chain_is_recurrent():
     form = two_node_form(w=1.0, k=(0.0, 0.0))
-    flag, cert = fl.is_transient(form)
-    assert not flag
-    assert set(cert.dead_component) == {0, 1}
-    assert cert.witness == "killing-free-component"
+    assert form.killing_free_component() == (0, 1)
 
 
 def test_transient_with_killing_anywhere():
     form = two_node_form(w=1.0, k=(1.0, 0.0))
-    flag, cert = fl.is_transient(form)
-    assert flag and cert.witness == "cholesky"
+    assert form.killing_free_component() is None
 
 
 def test_two_components_killing_in_one():
@@ -136,9 +132,7 @@ def test_two_components_killing_in_one():
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
     form = fl.build_form(space, W, np.array([1.0, 0.0, 0.0, 0.0]))
-    flag, cert = fl.is_transient(form)
-    assert not flag
-    assert set(cert.dead_component) == {2, 3}
+    assert form.killing_free_component() == (2, 3)
 
 
 @given(n_components=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -146,7 +140,7 @@ def test_killing_free_component_matches_components(n_components, seed):
     rng = np.random.default_rng(seed)
     form = random_form(rng, 4, 30, n_components=n_components,
                        killing="mixed")
-    dead = form._killing_free_component()
+    dead = form.killing_free_component()
     first = next((c for c in form.components()
                   if float(np.sum(form.k[list(c)])) <= 0.0), None)
     assert dead == first
@@ -159,7 +153,7 @@ def test_transience_matches_green_probe_on_random_forms():
         killing = ("all", "none", "mixed")[i % 3]
         comps = 1 + (i % 3)
         form = random_form(rng, 5, 25, n_components=comps, killing=killing)
-        flag, _ = fl.is_transient(form)
+        flag = form.killing_free_component() is None
         L = form.dense_L()
         sol, res, *_ = np.linalg.lstsq(L, form.m, rcond=None)
         probe_res = float(np.max(np.abs(L @ sol - form.m)))
@@ -284,8 +278,7 @@ def test_equilibrium_bounds_and_errors():
 def test_perturb_makes_transient():
     form = two_node_form(w=1.0)
     pert = fl.perturb(form, np.ones(2))
-    flag, _ = fl.is_transient(pert)
-    assert flag
+    assert pert.killing_free_component() is None
     np.testing.assert_allclose(pert.k, form.k + form.m)
 
 

@@ -96,6 +96,29 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys, argv):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--horizon", "0"),
+    ("simulate", "--paths", "-3"),
+    ("verify", "--paths", "0"),
+    ("verify", "--check-tol", "nan"),
+    ("verify", "--revuz-t", "-0.5"),
+    ("verify", "--jobs", "0"),
+    ("solve", "--tol", "nan"),
+    ("solve", "--tol", "-1"),
+    ("solve", "--tol", "0"),
+])
+def test_cli_bad_numeric_flag_exits_2(tmp_path, capsys, command, flag, value):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main([command, "--catalog", "perturbed-g", flag, value,
+              "--out", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a positive" in err
+    assert f"got '{value}'" in err
+    assert time.perf_counter() - start < 5.0
+
+
 def test_cli_solve_reproducible_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
