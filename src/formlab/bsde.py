@@ -9,10 +9,15 @@ integrated here by implicit Euler: each step solves the monotone system
 
     (M + dt L) v - dt M f(., v) = M v_prev + dt masses(mu)
 
-by damped Newton (the Jacobian is SPD when f is nonincreasing), with
-Gauss-Seidel on the form perturbed by 1/dt as the fallback.  The
-stationary point of a step is exactly the elliptic solution, so long
-horizons converge to it without a step-size floor.
+by damped Newton, with Gauss-Seidel on the form perturbed by 1/dt as the
+fallback.  The Jacobian dt L + diag(m - dt m f'(v)) is SPD when f is
+nonincreasing; it is factored by banded Cholesky from the form's cached
+band of L, once per Newton iteration, or once per solve for an affine
+driver, whose Jacobian does not depend on v.  A Newton correction that is
+already within the step tolerance, at a residual that already meets the
+residual gate, is taken whole without a line search.  The stationary point
+of a step is exactly the elliptic solution, so long horizons converge to
+it without a step-size floor.
 
 The random-horizon solution is built by the horizon ladder: at level n the
 data are truncated at n, the driver is regularized at Lipschitz level n
@@ -64,41 +69,52 @@ class BsdeSolution:
         return float((1 - w) * self.surface[j, x] + w * self.surface[j + 1, x])
 
 
-def _implicit_step(A0, form, dt, driver, rhs, v_init, *, tol, max_iter):
-    """Solve A0 v - dt M f(v) = rhs, with A0 = M + dt L, by damped Newton.
+def _step_factor(form, dt, slope):
+    """Banded Cholesky factor of the step Jacobian dt L + diag(m - dt m slope)."""
+    try:
+        return form._factor(dt, form.m - dt * form.m * slope)
+    except sla.LinAlgError as exc:
+        raise SolverError(f"step Jacobian not SPD ({exc})")
 
-    Affine drivers take one exact linear solve.  When Newton stalls, the
-    step is finished by Gauss-Seidel on the form perturbed by 1/dt, whose
-    node equations are the step system divided by dt.  The caller names
-    the step in any SolverError raised here.
+
+def _implicit_step(form, dt, driver, rhs, v_init, jacobian, *, tol, max_iter):
+    """Solve (M + dt L) v - dt M f(v) = rhs by damped Newton.
+
+    jacobian(v) returns the banded factor of the step Jacobian at v.
+    Affine drivers take one exact linear solve.  A Newton correction that
+    is already within tol, at a residual that already meets the gate, is
+    taken whole: no damping could improve on a residual at rounding level.
+    When Newton stalls, the step is finished by Gauss-Seidel on the form
+    perturbed by 1/dt, whose node equations are the step system divided by
+    dt.  The caller names the step in any SolverError raised here.
     """
     dtm = dt * form.m
+
+    def residual(v):
+        return form.m * v + dt * (form.L @ v) - dtm * driver.value(v) - rhs
+
     v = v_init.copy()
-    F = A0 @ v - dtm * driver.value(v) - rhs
+    F = residual(v)
     norm0 = float(np.max(np.abs(F)))
-    affine = driver.constant_slope is not None
+    gate = max(1e-9 * (1 + norm0), 1e2 * tol)
     for it in range(1, max_iter + 1):
-        if affine:
-            slope = driver.constant_slope
-        else:
-            slope = np.minimum(driver.deriv(v), 0.0)
-        try:
-            cho = sla.cho_factor(A0 - np.diag(dtm * slope), lower=True)
-        except sla.LinAlgError as exc:
-            raise SolverError(f"step Jacobian not SPD ({exc})")
-        delta = sla.cho_solve(cho, -F)
-        if affine:  # the Newton step is exact
+        delta = sla.cho_solve_banded(jacobian(v), -F)
+        if driver.constant_slope is not None:  # the Newton step is exact
             return v + delta, 1
+        norm = float(np.max(np.abs(F)))
+        if float(np.max(np.abs(delta))) <= tol * (1.0 + float(np.max(np.abs(v)))) \
+                and norm <= gate:
+            return v + delta, it
         alpha = 1.0
         for _ in range(40):
             v_new = v + alpha * delta
-            F_new = A0 @ v_new - dtm * driver.value(v_new) - rhs
-            if float(np.max(np.abs(F_new))) <= (1 - 0.25 * alpha) * float(np.max(np.abs(F))) + 1e-300:
+            F_new = residual(v_new)
+            if float(np.max(np.abs(F_new))) <= (1 - 0.25 * alpha) * norm + 1e-300:
                 break
             alpha *= 0.5
         v, F = v_new, F_new
         if float(np.max(np.abs(alpha * delta))) <= tol * (1.0 + float(np.max(np.abs(v)))):
-            if float(np.max(np.abs(F))) <= max(1e-9 * (1 + norm0), 1e2 * tol):
+            if float(np.max(np.abs(F))) <= gate:
                 return v, it
     from .elliptic import solve_elliptic_gauss_seidel
     sol = solve_elliptic_gauss_seidel(
@@ -114,10 +130,14 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     """Backward implicit-Euler integration of the value surface on [0, T].
 
     The terminal slice of the returned surface equals ``terminal`` exactly.
-    dt is rounded so the grid divides T evenly.
+    dt is rounded so the grid divides T evenly.  For an affine driver the
+    step Jacobian does not depend on v; it is factored once, at the first
+    step, and shared by every step.
     """
-    if T < 0:
-        raise FormError(f"horizon must be nonnegative, got {T}")
+    if not (np.isfinite(T) and T >= 0):
+        raise FormError(f"horizon T must be finite and nonnegative, got {T}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise FormError(f"step dt must be positive and finite, got {dt}")
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (form.n,):
         raise FormError(f"terminal data has shape {terminal.shape}, expected ({form.n},)")
@@ -125,12 +145,19 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         times = np.array([0.0])
         surf = terminal[None, :].copy()
         return BsdeSolution(times, surf, surf[0].copy(), {"steps": 0})
-    if dt <= 0:
-        raise FormError(f"step must be positive, got {dt}")
     steps = max(1, int(round(T / dt)))
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
-    A0 = np.diag(form.m) + dt * form.dense_L()
+    affine_factor = None
+
+    def jacobian(v):
+        nonlocal affine_factor
+        if driver.constant_slope is None:
+            return _step_factor(form, dt, np.minimum(driver.deriv(v), 0.0))
+        if affine_factor is None:
+            affine_factor = _step_factor(form, dt, driver.constant_slope)
+        return affine_factor
+
     surface = np.empty((steps + 1, form.n))
     surface[steps] = terminal
     total_iters = 0
@@ -139,7 +166,7 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         rhs = form.m * v + dt * mu.masses
         try:
             v, iters = _implicit_step(
-                A0, form, dt, driver, rhs, v,
+                form, dt, driver, rhs, v, jacobian,
                 tol=NEWTON_TOL, max_iter=max_newton)
         except SolverError as exc:
             raise SolverError(f"backward step {j} (t = {times[j]:.6g}): {exc}")
@@ -211,8 +238,18 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
     and integrates backward from terminal 0 over [0, T_n].  Stops when the
     sup-norm increment between consecutive levels is at most tol_outer.
 
-    Returns (BsdeSolution, LadderTrace).
+    Returns (BsdeSolution, LadderTrace).  A tol_outer that is not positive
+    and finite, or a steps_per_level or max_levels that is not a positive
+    int, raises FormError naming the argument.
     """
+    if not (np.isfinite(tol_outer) and tol_outer > 0):
+        raise FormError(
+            f"tol_outer must be positive and finite, got {tol_outer}")
+    for name, count in (("steps_per_level", steps_per_level),
+                        ("max_levels", max_levels)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
+                or count < 1:
+            raise FormError(f"{name} must be a positive int, got {count!r}")
     lam = (form.degree + form.k) / form.m
     positive = lam[lam > 0]
     t0 = 1.0 / float(positive.min()) if positive.size else 1.0

@@ -14,6 +14,11 @@ Green operator G = L^-1 exists, exactly when every connected component of
 the jump graph carries killing; DirichletForm.killing_free_component() is
 the one test of it, returning None or the component without killing.
 
+Shifted solves with c*L + diag(d), the ladder's implicit steps and the
+alpha > 0 potentials, factor it by banded Cholesky from one cached,
+read-only lower band of L, whose bandwidth is read from L's nonzeros (1 on
+a path, the side on a grid, n - 1 for a dense kernel).
+
 Every node-level equation in this package is written in the shared assembly
 convention  (Lu)(x) = m_x f(x, u_x) + mu({x}).
 """
@@ -138,8 +143,9 @@ class DirichletForm:
     """Symmetric jump weights plus killing over a StateSpace.
 
     Instances are immutable after construction; the assembled Laplacian,
-    its Cholesky (Green) factor and its lowest scaled eigenvalues are cached
-    read-only, so a form can be shared freely across threads.
+    its lower band (from which every shifted factor is built), its Green
+    factor and its lowest scaled eigenvalues are cached read-only, so a
+    form can be shared freely across threads.
     """
 
     def __init__(self, space: StateSpace, W: sp.csr_matrix, k: np.ndarray):
@@ -148,6 +154,7 @@ class DirichletForm:
         self._k = _frozen_array(k)
         self._degree = _frozen_array(np.asarray(W.sum(axis=1)).ravel())
         self._L = None
+        self._band = None
         self._green = None
         self._lowest = {}
         self._components = None
@@ -202,12 +209,40 @@ class DirichletForm:
     def dense_L(self) -> np.ndarray:
         return self.L.toarray()
 
+    def _lower_band(self) -> np.ndarray:
+        """L in LAPACK lower band storage: band[i - j, j] = L[i, j], i >= j.
+
+        The bandwidth is read from the nonzeros of L: 1 on a path, the side
+        on a row-major grid, n - 1 for a dense kernel.
+        """
+        if self._band is None:
+            coo = self.L.tocoo()
+            keep = (coo.row >= coo.col) & (coo.data != 0.0)
+            rows, cols = coo.row[keep], coo.col[keep]
+            band = np.zeros((int(np.max(rows - cols, initial=0)) + 1, self.n))
+            band[rows - cols, cols] = coo.data[keep]
+            band.flags.writeable = False
+            self._band = band
+        return self._band
+
+    def _factor(self, c: float, d: np.ndarray):
+        """Banded Cholesky factor of c*L + diag(d), for cho_solve_banded.
+
+        Raises LinAlgError when the matrix is not positive definite.
+        """
+        ab = c * self._lower_band()
+        ab[0] += d
+        return sla.cholesky_banded(ab, overwrite_ab=True, lower=True), True
+
     def solve(self, rhs: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """Solve (L + alpha*M) u = rhs; alpha = 0 needs a transient form.
 
-        The dense Cholesky factor of L (the Green factor) is computed on the
-        first alpha = 0 solve and cached.  On a form that is not transient,
-        where L is singular, an alpha = 0 solve raises
+        alpha > 0 factors the band of L + alpha*M on each call.  The Green
+        factor, the dense Cholesky factor of L, is computed on the first
+        alpha = 0 solve and cached; it stays dense because the ladder's a
+        priori radius and regularization floor are read off Green solves,
+        and a banded factor moves them in the last bit.  On a form that is
+        not transient, where L is singular, an alpha = 0 solve raises
         GreenOperatorUndefined naming a killing-free component.
         """
         if alpha == 0.0:
@@ -215,8 +250,7 @@ class DirichletForm:
                 _require_transient(self)
                 self._green = sla.cho_factor(self.dense_L(), lower=True)
             return sla.cho_solve(self._green, rhs)
-        A = self.dense_L() + np.diag(alpha * self.m)
-        return sla.cho_solve(sla.cho_factor(A, lower=True), rhs)
+        return sla.cho_solve_banded(self._factor(1.0, alpha * self.m), rhs)
 
     def spectral_gap(self) -> float:
         """Smallest eigenvalue of the symmetrized Laplacian M^-1/2 L M^-1/2.

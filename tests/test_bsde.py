@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import formlab as fl
 from formlab.bsde import SolverError, _checkpoint_values
@@ -91,6 +94,57 @@ def test_failed_step_named_once():
     msg = str(err.value)
     assert msg.startswith("backward step 7 (t = 0.875): step Jacobian not SPD")
     assert msg.count("step 7") == 1
+
+
+def test_affine_solve_factors_step_jacobian_once(monkeypatch):
+    rng = np.random.default_rng(47)
+    form = random_transient_form(rng, 6, 12)
+    drv = fl.Driver.affine(form.n, rng.normal(size=form.n),
+                           -rng.uniform(0.0, 2.0, size=form.n))
+    mu = random_measure(rng, form.n)
+    steps, dt = 16, 0.125
+    calls = []
+    factor = sla.cholesky_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "cholesky_banded", counted)
+    sol = fl.solve_finite_horizon(form, drv, mu, np.zeros(form.n),
+                                  steps * dt, dt)
+    assert len(calls) == 1
+    # the same steps one solve at a time, each factoring its own Jacobian
+    v = np.zeros(form.n)
+    for j in range(steps - 1, -1, -1):
+        v = fl.solve_finite_horizon(form, drv, mu, v, dt, dt).u
+        assert np.array_equal(sol.surface[j], v)
+    assert len(calls) == 1 + steps
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"T": np.nan}, "T"), ({"T": np.inf}, "T"), ({"T": -1.0}, "T"),
+    ({"dt": np.nan}, "dt"), ({"dt": np.inf}, "dt"), ({"dt": 0.0}, "dt"),
+    ({"dt": -0.5}, "dt"),
+    ({"tol_outer": np.nan}, "tol_outer"), ({"tol_outer": np.inf}, "tol_outer"),
+    ({"tol_outer": 0.0}, "tol_outer"), ({"tol_outer": -1e-8}, "tol_outer"),
+    ({"steps_per_level": 0}, "steps_per_level"),
+    ({"steps_per_level": -3}, "steps_per_level"),
+    ({"steps_per_level": 2.5}, "steps_per_level"),
+    ({"steps_per_level": True}, "steps_per_level"),
+    ({"max_levels": 0}, "max_levels"), ({"max_levels": 4.0}, "max_levels"),
+])
+def test_hostile_ladder_arguments_named(kwargs, name):
+    p = fl.build_catalog_problem("perturbed-g")
+    t0 = time.perf_counter()
+    with pytest.raises(fl.FormError, match=rf"\b{name}\b.*, got "):
+        if {"T", "dt"} & set(kwargs):
+            args = {"T": 1.0, "dt": 0.125, **kwargs}
+            fl.solve_finite_horizon(p.form, p.driver, p.mu,
+                                    np.zeros(p.form.n), args["T"], args["dt"])
+        else:
+            fl.solve_random_horizon_ladder(p.form, p.driver, p.mu, **kwargs)
+    assert time.perf_counter() - t0 < 2.0
 
 
 @pytest.mark.parametrize("regularized", [False, True])
@@ -243,6 +297,26 @@ def test_ladder_regularized_path_pinned():
     assert sum(lv.inner_iterations for lv in trace.levels) == SQRT_LADDER_INNER
     assert trace.achieved_tol == SQRT_LADDER_TOL
     assert np.max(np.abs(sol.u - SQRT_LADDER_U)) <= 1e-12
+
+
+def test_ladder_takes_converged_newton_steps_whole(monkeypatch):
+    # once a Newton correction is within tol at a rounding-level residual,
+    # no damping can pass the line search's decrease test; the step is
+    # taken whole, so each Newton iteration costs at most two driver values
+    p = fl.build_catalog_problem("lap2d")
+    calls = []
+    value = fl.Driver.value
+
+    def counted(self, u):
+        calls.append(1)
+        return value(self, u)
+
+    monkeypatch.setattr(fl.Driver, "value", counted)
+    sol, trace = fl.solve_random_horizon_ladder(p.form, p.driver, p.mu)
+    inner = [lv.inner_iterations for lv in trace.levels]
+    assert inner == [384, 385, 385, 355, 316, 255]
+    steps = sol.diagnostics["steps"] * len(trace.levels)
+    assert len(calls) <= steps + 2 * sum(inner)
 
 
 def test_l1_bound_along_truncation_levels():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import formlab as fl
-from formlab.randomized import random_form, random_measure, random_transient_form
+from formlab.bsde import SolverError
+from formlab.randomized import (random_form, random_measure,
+                                random_shaped_form, random_transient_form)
 
 
 def two_node_form(w=1.0, k=(0.0, 0.0), m=(1.0, 1.0)):
@@ -239,6 +242,32 @@ def test_resolvent_positivity():
         mu = random_measure(rng, form.n, nonneg=True)
         u = fl.potential(form, mu)
         assert np.all(u >= -1e-12)
+
+
+@given(kind=st.sampled_from(["path", "grid", "dense"]),
+       n=st.integers(2, 30), c=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_factor_matches_dense_cholesky(kind, n, c, seed):
+    rng = np.random.default_rng(seed)
+    form = random_shaped_form(rng, kind, n)
+    d = rng.uniform(0.5, 2.0, size=form.n)
+    rhs = rng.normal(size=form.n)
+    A = c * form.dense_L() + np.diag(d)
+    ref = sla.cho_solve(sla.cho_factor(A, lower=True), rhs)
+    x = sla.cho_solve_banded(form._factor(c, d), rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a diagonal entry of -1 makes c L + diag(d) indefinite
+    bad = d.copy()
+    node = int(rng.integers(form.n))
+    bad[node] = -c * (form.degree + form.k)[node] - 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        form._factor(c, bad)
+    # one implicit step whose Jacobian c L + diag(m - c m b) is that matrix
+    b = (form.m - bad) / (c * form.m)
+    with pytest.raises(SolverError, match="step Jacobian not SPD"):
+        fl.solve_finite_horizon(form, fl.Driver.affine(form.n, 0.0, b),
+                                fl.SignedMeasure(np.zeros(form.n)),
+                                np.zeros(form.n), c, c)
 
 
 # -- equilibrium potential ----------------------------------------------------

@@ -161,7 +161,7 @@ def test_cli_verify_passes_and_writes(tmp_path):
             "martingale"} <= checks
     assert all(line.rsplit(",", 1)[1] == "True" for line in lines[1:])
     assert _sha256(tmp_path / "verify.csv") == \
-        "3acfbcd2787f1c3aa48d4053d05b98f7cd9a7aad13c4a367177c1028d4d8ec7e"
+        "ceabe9877c81554ba692c0b128a0eeec2ab8e7a9f3abf7172b7f428752a62d17"
 
 
 def test_cli_verify_env_default_out(tmp_path, monkeypatch):
