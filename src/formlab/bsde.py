@@ -47,6 +47,9 @@ class SolverError(RuntimeError):
 NEWTON_TOL = 1e-13
 # Yosida grid spacing as a fraction of the a priori radius.
 YOSIDA_DELTA_FRAC = 1.0 / 4096.0
+# Largest value surface, (steps + 1) * n doubles (512 MiB), that
+# solve_finite_horizon allocates.
+MAX_SURFACE_VALUES = 2 ** 26
 
 
 @dataclass
@@ -130,9 +133,10 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     """Backward implicit-Euler integration of the value surface on [0, T].
 
     The terminal slice of the returned surface equals ``terminal`` exactly.
-    dt is rounded so the grid divides T evenly.  For an affine driver the
-    step Jacobian does not depend on v; it is factored once, at the first
-    step, and shared by every step.
+    dt is rounded so the grid divides T evenly.  A grid whose surface would
+    exceed MAX_SURFACE_VALUES raises FormError before anything is allocated.
+    For an affine driver the step Jacobian does not depend on v; it is
+    factored once, at the first step, and shared by every step.
     """
     if not (np.isfinite(T) and T >= 0):
         raise FormError(f"horizon T must be finite and nonnegative, got {T}")
@@ -145,7 +149,13 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         times = np.array([0.0])
         surf = terminal[None, :].copy()
         return BsdeSolution(times, surf, surf[0].copy(), {"steps": 0})
-    steps = max(1, int(round(T / dt)))
+    steps = max(1.0, float(np.rint(T / dt)))
+    if (steps + 1.0) * form.n > MAX_SURFACE_VALUES:
+        raise FormError(
+            f"horizon T = {T:g} at step dt = {dt:g} takes {steps:g} steps; "
+            f"the surface of (steps + 1) x {form.n} values exceeds "
+            f"MAX_SURFACE_VALUES = {MAX_SURFACE_VALUES}")
+    steps = int(steps)
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
     affine_factor = None

@@ -14,10 +14,12 @@ Green operator G = L^-1 exists, exactly when every connected component of
 the jump graph carries killing; DirichletForm.killing_free_component() is
 the one test of it, returning None or the component without killing.
 
-Shifted solves with c*L + diag(d), the ladder's implicit steps and the
-alpha > 0 potentials, factor it by banded Cholesky from one cached,
-read-only lower band of L, whose bandwidth is read from L's nonzeros (1 on
-a path, the side on a grid, n - 1 for a dense kernel).
+Every factorization and eigensolve of L reads one cached, read-only lower
+band of L, whose bandwidth is read from L's nonzeros (1 on a path, the side
+on a grid, n - 1 for a dense kernel).  Solves with c*L + diag(d) (the Green
+operator, the ladder's implicit steps and the alpha > 0 potentials) factor
+it by banded Cholesky; the lowest eigenvalue of a diagonally scaled L is
+taken from the scaled band by the banded symmetric eigensolver.
 
 Every node-level equation in this package is written in the shared assembly
 convention  (Lu)(x) = m_x f(x, u_x) + mu({x}).
@@ -143,9 +145,9 @@ class DirichletForm:
     """Symmetric jump weights plus killing over a StateSpace.
 
     Instances are immutable after construction; the assembled Laplacian,
-    its lower band (from which every shifted factor is built), its Green
-    factor and its lowest scaled eigenvalues are cached read-only, so a
-    form can be shared freely across threads.
+    its lower band (from which every factor and eigenvalue is computed),
+    its banded Green factor and its lowest scaled eigenvalues are cached
+    read-only, so a form can be shared freely across threads.
     """
 
     def __init__(self, space: StateSpace, W: sp.csr_matrix, k: np.ndarray):
@@ -206,9 +208,6 @@ class DirichletForm:
         kill = float(np.sum(self._k * u * v))
         return jump + kill
 
-    def dense_L(self) -> np.ndarray:
-        return self.L.toarray()
-
     def _lower_band(self) -> np.ndarray:
         """L in LAPACK lower band storage: band[i - j, j] = L[i, j], i >= j.
 
@@ -237,19 +236,20 @@ class DirichletForm:
     def solve(self, rhs: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """Solve (L + alpha*M) u = rhs; alpha = 0 needs a transient form.
 
-        alpha > 0 factors the band of L + alpha*M on each call.  The Green
-        factor, the dense Cholesky factor of L, is computed on the first
-        alpha = 0 solve and cached; it stays dense because the ladder's a
-        priori radius and regularization floor are read off Green solves,
-        and a banded factor moves them in the last bit.  On a form that is
-        not transient, where L is singular, an alpha = 0 solve raises
-        GreenOperatorUndefined naming a killing-free component.
+        rhs may hold one right-hand side per column.  alpha > 0 factors the
+        band of L + alpha*M on each call.  The Green factor, the banded
+        Cholesky factor of L, is computed on the first alpha = 0 solve and
+        cached read-only.  On a form that is not transient, where L is
+        singular, an alpha = 0 solve raises GreenOperatorUndefined naming a
+        killing-free component.
         """
         if alpha == 0.0:
             if self._green is None:
                 _require_transient(self)
-                self._green = sla.cho_factor(self.dense_L(), lower=True)
-            return sla.cho_solve(self._green, rhs)
+                green = self._factor(1.0, 0.0)
+                green[0].flags.writeable = False
+                self._green = green
+            return sla.cho_solve_banded(self._green, rhs)
         return sla.cho_solve_banded(self._factor(1.0, alpha * self.m), rhs)
 
     def spectral_gap(self) -> float:
@@ -265,13 +265,20 @@ class DirichletForm:
 
         D = diag(m) for weight "m" (the spectral gap) and D = diag(L) for
         weight "diag" (one minus the Jacobi radius); "diag" needs every
-        node to have jumps or killing.
+        node to have jumps or killing.  The band of L is scaled entrywise,
+        band[r, j] * s_j * s_(j+r) with s = D^-1/2, and handed to LAPACK's
+        dsbevx, which selects the lowest eigenvalue by bisection.
         """
         if weight not in self._lowest:
             d = self.m if weight == "m" else self._degree + self._k
             s = 1.0 / np.sqrt(d)
-            A = self.dense_L() * s[:, None] * s[None, :]
-            self._lowest[weight] = float(sla.eigvalsh(A)[0])
+            band = self._lower_band()
+            s_pad = np.concatenate([s, np.zeros(band.shape[0] - 1)])
+            rows = np.arange(band.shape[0])[:, None] + np.arange(self.n)
+            ab = band * s * s_pad[rows]
+            self._lowest[weight] = float(sla.eig_banded(
+                ab, lower=True, eigvals_only=True,
+                select="i", select_range=(0, 0))[0])
         return self._lowest[weight]
 
     def components(self) -> tuple:
@@ -370,21 +377,21 @@ def equilibrium_potential(form: DirichletForm, B) -> tuple[np.ndarray, float]:
     """Equilibrium potential of a node set B and its capacity.
 
     Returns (e, cap) with e = 1 on B, (Le)(x) = 0 off B and cap = E(e, e).
+    e is the Green potential of the equilibrium measure nu carried by B,
+    e = G nu, with nu = G_BB^-1 1 fixed by e = 1 on B, and cap = nu(B)
+    (Fukushima, Oshima & Takeda).  It takes |B| Green solves.
     """
     B = np.asarray(sorted(set(int(b) for b in np.atleast_1d(B))), dtype=int)
     if B.size == 0:
         raise FormError("equilibrium potential needs a nonempty node set")
     if B.min() < 0 or B.max() >= form.n:
         raise FormError(f"node set {B.tolist()} out of range for n = {form.n}")
-    _require_transient(form)
-    e = np.zeros(form.n)
+    unit = np.zeros((form.n, B.size))
+    unit[B, np.arange(B.size)] = 1.0
+    G_B = form.solve(unit)
+    nu = sla.solve(G_B[B], np.ones(B.size), assume_a="pos")
+    e = G_B @ nu
     e[B] = 1.0
-    free = np.setdiff1d(np.arange(form.n), B)
-    if free.size:
-        L = form.dense_L()
-        A = L[np.ix_(free, free)]
-        rhs = -L[np.ix_(free, B)] @ np.ones(B.size)
-        e[free] = sla.cho_solve(sla.cho_factor(A, lower=True), rhs)
     cap = form.energy(e)
     return e, cap
 

@@ -248,7 +248,7 @@ def test_criterion_12_transience_classifier():
         comps = 1 + (i % 3)
         form = random_form(rng, 5, 30, n_components=comps, killing=killing)
         flag = form.killing_free_component() is None
-        L = form.dense_L()
+        L = form.L.toarray()
         sol, *_ = np.linalg.lstsq(L, form.m, rcond=None)
         probe = bool(np.max(np.abs(L @ sol - form.m))
                      <= 1e-8 * float(np.max(form.m)))

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ def test_hostile_ladder_arguments_named(kwargs, name):
     assert time.perf_counter() - t0 < 2.0
 
 
+@pytest.mark.parametrize("dt", [1e-300, 1e-12])
+def test_finite_horizon_surface_bounded_before_allocation(dt):
+    # 1e-300 overflows np.linspace; 1e-12 would ask for a 1e12 x n surface
+    p = fl.build_catalog_problem("perturbed-g")
+    tracemalloc.start()
+    try:
+        with pytest.raises(fl.FormError,
+                           match=r"T = 1 at step dt = .* takes .* steps"):
+            fl.solve_finite_horizon(p.form, p.driver, p.mu,
+                                    np.zeros(p.form.n), 1.0, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("regularized", [False, True])
 def test_step_fallback_matches_newton(regularized):
     # max_newton=0 hands every implicit step to the Gauss-Seidel fallback
@@ -275,7 +292,7 @@ def test_ladder_loose_grid_reports_honest_floor():
 # reference values from the brute-force envelope (a min over every grid point)
 SQRT_LADDER_LEVELS = 3
 SQRT_LADDER_INNER = 1637
-SQRT_LADDER_TOL = 0.02341373425603001
+SQRT_LADDER_TOL = 0.02341373425603003
 SQRT_LADDER_U = [
     0.050813063238960565, 0.09860488010667663, 0.14372544171140417,
     0.18643326211690478, 0.22693819975977372, 0.26541700544406605,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import formlab as fl
+from formlab import elliptic
 from formlab.bsde import SolverError
 from formlab.randomized import (random_form, random_measure,
                                 random_shaped_form, random_transient_form)
@@ -157,7 +158,7 @@ def test_transience_matches_green_probe_on_random_forms():
         comps = 1 + (i % 3)
         form = random_form(rng, 5, 25, n_components=comps, killing=killing)
         flag = form.killing_free_component() is None
-        L = form.dense_L()
+        L = form.L.toarray()
         sol, res, *_ = np.linalg.lstsq(L, form.m, rcond=None)
         probe_res = float(np.max(np.abs(L @ sol - form.m)))
         probe = probe_res <= 1e-8 * float(np.max(form.m)) \
@@ -173,7 +174,7 @@ def test_transience_inequality_witness():
     for _ in range(10):
         form = random_transient_form(rng, 5, 20)
         s = 1.0 / np.sqrt(form.m)
-        gap = np.linalg.eigvalsh(form.dense_L() * s[:, None] * s[None, :])[0]
+        gap = np.linalg.eigvalsh(form.L.toarray() * s[:, None] * s[None, :])[0]
         assert form.spectral_gap() == pytest.approx(gap, rel=1e-12)
         g = np.sqrt(gap) / np.sqrt(np.sum(form.m))
         for _ in range(10):
@@ -252,10 +253,21 @@ def test_band_factor_matches_dense_cholesky(kind, n, c, seed):
     form = random_shaped_form(rng, kind, n)
     d = rng.uniform(0.5, 2.0, size=form.n)
     rhs = rng.normal(size=form.n)
-    A = c * form.dense_L() + np.diag(d)
+    A = c * form.L.toarray() + np.diag(d)
     ref = sla.cho_solve(sla.cho_factor(A, lower=True), rhs)
     x = sla.cho_solve_banded(form._factor(c, d), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the Green solve and both lowest eigenvalues read the same band
+    L = form.L.toarray()
+    ref = sla.cho_solve(sla.cho_factor(L, lower=True), rhs)
+    assert np.max(np.abs(form.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    s = 1.0 / np.sqrt(form.m)
+    gap = np.linalg.eigvalsh(L * s[:, None] * s[None, :])[0]
+    assert form.spectral_gap() == pytest.approx(gap, rel=1e-12)
+    s = 1.0 / np.sqrt(form.degree + form.k)
+    J = form.W.toarray() * s[:, None] * s[None, :]
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(J))))
+    assert elliptic._jacobi_radius(form) == pytest.approx(rho, rel=1e-12)
     # a diagonal entry of -1 makes c L + diag(d) indefinite
     bad = d.copy()
     node = int(rng.integers(form.n))
@@ -268,6 +280,26 @@ def test_band_factor_matches_dense_cholesky(kind, n, c, seed):
         fl.solve_finite_horizon(form, fl.Driver.affine(form.n, 0.0, b),
                                 fl.SignedMeasure(np.zeros(form.n)),
                                 np.zeros(form.n), c, c)
+
+
+@pytest.mark.parametrize("pid", ["lap2d", "frac-a10"])
+def test_solvers_use_only_the_band_of_L(pid, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense factorization or eigensolve of L")
+
+    for name in ("cho_factor", "cho_solve", "eigvalsh"):
+        monkeypatch.setattr(sla, name, dense)
+    p = fl.build_catalog_problem(pid)
+    form = p.form
+    assert np.all(np.isfinite(form.solve(p.mu.masses)))
+    assert np.all(np.isfinite(form.solve(p.mu.masses, alpha=0.5)))
+    assert form.spectral_gap() > 0.0
+    e, cap = fl.equilibrium_potential(form, [0, form.n // 2])
+    assert cap > 0.0
+    gs = fl.solve_elliptic_gauss_seidel(form, p.driver, p.mu)
+    assert gs.diagnostics["omega"] > 1.0
+    sol, trace = fl.solve_random_horizon_ladder(form, p.driver, p.mu)
+    assert trace.converged and np.all(np.isfinite(sol.u))
 
 
 # -- equilibrium potential ----------------------------------------------------
@@ -287,6 +319,35 @@ def test_equilibrium_two_node_hand_solve():
     assert e[0] == 1.0
     assert e[1] == pytest.approx(w / (w + k1), rel=1e-13)
     assert cap == pytest.approx(form.energy(e), rel=1e-12)
+
+
+def free_block_equilibrium(form, B):
+    """e = 1 on B and the free block of L solved by dense Cholesky off B."""
+    e = np.zeros(form.n)
+    e[B] = 1.0
+    free = np.setdiff1d(np.arange(form.n), B)
+    if free.size:
+        L = form.L.toarray()
+        rhs = -L[np.ix_(free, B)] @ np.ones(len(B))
+        e[free] = sla.cho_solve(
+            sla.cho_factor(L[np.ix_(free, free)], lower=True), rhs)
+    return e
+
+
+@pytest.mark.parametrize("size", ["one", "several", "all"])
+def test_equilibrium_matches_free_block_solve(size):
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        form = random_transient_form(rng, 5, 30)
+        count = {"one": 1, "several": int(rng.integers(2, form.n)),
+                 "all": form.n}[size]
+        B = np.sort(rng.choice(form.n, size=count, replace=False))
+        e, cap = fl.equilibrium_potential(form, B)
+        ref = free_block_equilibrium(form, B)
+        assert np.all(e[B] == 1.0)
+        assert np.max(np.abs(e - ref)) <= 1e-12
+        assert cap == pytest.approx(form.energy(e), rel=1e-12)
+        assert cap == pytest.approx(form.energy(ref), rel=1e-10)
 
 
 def test_equilibrium_bounds_and_errors():

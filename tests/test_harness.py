@@ -161,7 +161,7 @@ def test_cli_verify_passes_and_writes(tmp_path):
             "martingale"} <= checks
     assert all(line.rsplit(",", 1)[1] == "True" for line in lines[1:])
     assert _sha256(tmp_path / "verify.csv") == \
-        "ceabe9877c81554ba692c0b128a0eeec2ab8e7a9f3abf7172b7f428752a62d17"
+        "09c8788214f4600252f90e400eb1c943b5795c1b948091d59b0a378c128c733a"
 
 
 def test_cli_verify_env_default_out(tmp_path, monkeypatch):

@@ -147,7 +147,7 @@ def test_generator_consistency_small_time():
     # d/dt E_x[e_y(X_t)] at t=0 equals -(L e_y)/m entry-wise
     rng = np.random.default_rng(55)
     form = random_transient_form(rng, 5, 8)
-    G = -(form.dense_L() / form.m[:, None])
+    G = -(form.L.toarray() / form.m[:, None])
     t = 1e-7
     P = expm(t * G)
     approx = (P - np.eye(form.n)) / t
