@@ -14,13 +14,13 @@ from .bsde import (BsdeSolution, ComparisonReport, LadderTrace,
                    MartingaleReport, SolverError, bsde_comparison_check,
                    extract_martingale, martingale_residual_check,
                    solve_finite_horizon, solve_random_horizon_ladder)
-from .elliptic import (METHODS, DualityReport, EllipticSolution,
+from .elliptic import (METHODS, Check, DualityReport, EllipticSolution,
                        GreenBoundReport, L1Report, TruncationReport, TvReport,
                        UnboundedSolutionError, duality_check,
                        green_bound_check, l1_bound_check, solve,
                        solve_elliptic_gauss_seidel, solve_elliptic_ladder,
                        solve_elliptic_mc, truncation_report,
-                       tv_comparison_check, weak_form_check)
+                       tv_comparison_check, verify_solution)
 from .convergence import StudyReport, boundary_exponent_fit, convergence_study, green_profile_1d
 
 __version__ = "0.1.0"

@@ -36,7 +36,8 @@ import scipy.linalg as sla
 from .drivers import Driver, truncate_data, yosida_regularize
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
                     Problem, SignedMeasure, perturb)
-from .markov import Chain, ChainPath, _lockstep, _path_rng, default_horizon_cap
+from .markov import (Chain, ChainPath, _lockstep, _mean_se, _path_rng,
+                     default_horizon_cap)
 
 
 class SolverError(RuntimeError):
@@ -455,8 +456,7 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
                                   cps)
         for ci in range(cps.size - 1):
             inc = vals[:, ci + 1] - vals[:, ci]
-            mean = float(np.sum(inc) / per)
-            se = float(np.std(inc, ddof=1) / np.sqrt(per))
+            mean, se = _mean_se(inc)
             excess = max(0.0, abs(mean)
                          - drift_allowance * float(cps[ci + 1] - cps[ci]))
             z = excess / se if se > 0 else (0.0 if excess < 1e-12 else np.inf)

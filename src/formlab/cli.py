@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: it parses arguments, calls the library and
+formats its results as reports (verify runs elliptic.verify_solution).
 
 Commands: solve, simulate, verify, bench, catalog.  Exit codes: 0 success,
 1 check failure or solver failure, 2 usage/configuration error.  The default
@@ -17,14 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import catalog as cat
-from .bsde import SolverError, martingale_residual_check
-from .convergence import StudyError, convergence_study
+from .bsde import SolverError
+from .convergence import STUDY_METHODS, StudyError, convergence_study
 from .drivers import DriverError
-from .elliptic import (METHODS, duality_check, green_bound_check,
-                       l1_bound_check, solve, truncation_report,
-                       weak_form_check, weak_form_defect)
+from .elliptic import METHODS, solve, verify_solution
 from .forms import FormError, GreenOperatorUndefined
-from .markov import build_chain, default_horizon_cap, revuz_check, sample_path
+from .markov import _path_rng, build_chain, default_horizon_cap, sample_path
 from .reports import Report, ladder_rows, path_trace_rows, vector_rows
 
 USAGE_ERRORS = (cat.DescriptorError, DriverError, FormError, StudyError)
@@ -53,9 +52,13 @@ def _add_common(p):
     p.add_argument("--problem", help="path to a JSON problem descriptor")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_positive(float), default=1e-11)
     p.add_argument("--paths", type=_positive(int), default=100_000,
                    help="MC path budget")
+
+
+def _add_solver(p):
+    p.add_argument("--tol", type=_positive(float), default=1e-11)
+    p.add_argument("--method", default="gauss-seidel", choices=METHODS)
 
 
 def _load(args):
@@ -99,7 +102,8 @@ def cmd_simulate(args) -> int:
     pid, problem = _load(args)
     chain = build_chain(problem.form)
     horizon = args.horizon or default_horizon_cap(chain)
-    paths = [sample_path(chain, args.start, args.seed + i, horizon)
+    paths = [sample_path(chain, args.start, args.seed, horizon,
+                         rng=_path_rng(args.seed, i))
              for i in range(args.paths)]
     out = args.out or _default_out()
     config = {"command": "simulate", "problem": pid, "start": args.start,
@@ -116,90 +120,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_rows(pid, problem, args):
-    sol = solve(problem, args.method, tol=args.tol,
-                n_paths=args.paths, seed=args.seed)
-    form, driver, mu = problem.form, problem.driver, problem.mu
-    # Monte Carlo solutions carry per-node noise; the deterministic gates
-    # get statistical allowances sized from the reported standard errors.
-    mc_noise = sol.diagnostics["se"] if args.method == "mc" else None
-    det_gate = args.check_tol
-    energy_allow = 0.0
-    l1_allow = 0.0
-    if mc_noise is not None:
-        det_gate = max(det_gate, 8.0 * float(np.max(mc_noise)))
-        energy_allow = 4.0 * float(
-            np.sum((form.degree + form.k) * mc_noise ** 2))
-        l1_allow = 4.0 * float(
-            np.sum(form.m * np.abs(driver.deriv(sol.u)) * mc_noise))
-    rows = []
-
-    def add(check, lhs, bound, ok):
-        rows.append((check, pid, float(lhs), float(bound),
-                     float(bound - lhs), bool(ok)))
-
-    wf = weak_form_check(form, sol, mu)
-    if mc_noise is None:
-        wf_gate = det_gate * 10
-    else:
-        row_scale = float(np.max(2 * form.degree + form.k
-                                 + form.m * np.abs(driver.deriv(sol.u))))
-        wf_gate = args.check_tol * 10 + 4.0 * float(np.max(mc_noise)) * row_scale
-    add("weak-form", wf, wf_gate, wf <= wf_gate)
-    if form.killing_free_component() is None:
-        dual = duality_check(form, sol, mu, tol=det_gate)
-        add("duality", dual.max_residual, det_gate, dual.passed)
-        l1 = l1_bound_check(sol, driver, mu, form.m, tol=args.check_tol + l1_allow)
-        add("l1-bound", l1.lhs, l1.rhs + l1.tol, l1.passed)
-        sup = float(np.max(np.abs(sol.u)))
-        ks = np.arange(0.0, 2.0 * sup + 0.25, 0.25)
-        tr = truncation_report(form, sol, mu, ks,
-                               tol=args.check_tol + energy_allow)
-        worst_t = int(np.argmin(tr.trunc_slack))
-        add("truncation-energy", tr.trunc_energy[worst_t],
-            tr.trunc_bound[worst_t] + tr.tol, tr.trunc_passed)
-        worst_v = int(np.argmin(tr.vanish_slack))
-        add("vanishing-energy", tr.vanish_energy[worst_v],
-            tr.vanish_bound[worst_v] + tr.tol, tr.vanish_passed)
-        gb = green_bound_check(form, sol, mu, tol=args.check_tol + l1_allow)
-        add("green-bound", gb.lhs, gb.rhs + gb.tol, gb.passed)
-
-    chain = build_chain(form)
-    f_test = np.ones(form.n)
-    rv = revuz_check(chain, f_test, mu, t=args.revuz_t,
-                     N=max(2, args.paths // 5), seed=args.seed)
-    add("revuz", rv.discrepancy, 3.0 * rv.se + rv.bias_bound, rv.passed())
-
-    starts = np.unique(np.linspace(0, form.n - 1,
-                                   min(form.n, 8)).astype(int))
-    # discount the solution's own algebraic defect before the z-ratio; the
-    # per-node floor keeps 4-sigma tails meaningful for skewed increments
-    drift = float(np.max(np.abs(weak_form_defect(form, sol.u, sol.f_u, mu))
-                         / form.m))
-    mart = martingale_residual_check(
-        chain, sol.u, driver, mu,
-        N=max(4000 * starts.size, args.paths // 5),
-        seed=args.seed + 1, start_nodes=starts, drift_allowance=drift)
-    add("martingale", mart.max_abs_z, 4.0, mart.passed(4.0))
-    return rows
-
-
 def cmd_verify(args) -> int:
-    if args.catalog == "all":
-        ids = cat.catalog_ids()
-    elif args.catalog and "," in args.catalog:
-        ids = args.catalog.split(",")
-    else:
-        ids = None
-    if ids is None:
-        pid, problem = _load(args)
-        jobs = [(pid, problem)]
-    else:
+    if args.catalog == "all" or (args.catalog and "," in args.catalog):
+        ids = (cat.catalog_ids() if args.catalog == "all"
+               else args.catalog.split(","))
         jobs = [(pid, cat.build_catalog_problem(pid)) for pid in ids]
+    else:
+        jobs = [_load(args)]
 
     def run_one(item):
         pid, problem = item
-        return _verify_rows(pid, problem, args)
+        sol = solve(problem, args.method, tol=args.tol,
+                    n_paths=args.paths, seed=args.seed)
+        checks = verify_solution(problem, sol, check_tol=args.check_tol,
+                                 revuz_t=args.revuz_t, paths=args.paths,
+                                 seed=args.seed)
+        return [(c.name, pid, c.lhs, c.bound, c.bound - c.lhs, c.passed)
+                for c in checks]
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -264,7 +201,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve a problem and export the solution")
     _add_common(p)
-    p.add_argument("--method", default="gauss-seidel", choices=METHODS)
+    _add_solver(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("simulate", help="sample chain paths")
@@ -277,7 +214,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the estimate suite on problems")
     _add_common(p)
-    p.add_argument("--method", default="gauss-seidel", choices=METHODS)
+    _add_solver(p)
     p.add_argument("--check-tol", type=_positive(float), default=1e-9)
     p.add_argument("--revuz-t", type=_positive(float), default=0.01)
     p.add_argument("--jobs", type=_positive(int), default=1)
@@ -288,7 +225,7 @@ def build_parser():
                    choices=["lap1d", "diag", "frac"])
     p.add_argument("--grids", default="64,128,256,512")
     p.add_argument("--method-bench", default="gauss-seidel",
-                   choices=["gauss-seidel", "ladder"])
+                   choices=STUDY_METHODS)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bench)

@@ -22,6 +22,10 @@ from .elliptic import solve
 from .forms import SignedMeasure
 
 
+# the deterministic solvers a refinement study runs
+STUDY_METHODS = ("gauss-seidel", "ladder")
+
+
 class StudyError(ValueError):
     """Unusable study configuration or oracle evaluation failure."""
 
@@ -79,7 +83,7 @@ def convergence_study(family: str, grid_sizes, method: str = "gauss-seidel",
     sizes = [int(s) for s in grid_sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise StudyError("study needs at least 3 strictly increasing grid sizes")
-    if method not in ("gauss-seidel", "ladder"):
+    if method not in STUDY_METHODS:
         raise StudyError(f"unknown study method {method!r}")
 
     errors, exponents, hs = [], [], []

@@ -21,7 +21,8 @@ Each solver first checks that f is nonincreasing in y and raises DriverError
 naming the node where it increases.
 
 The check functions compute both sides of each estimate the solutions must
-satisfy and report slack; nothing is clipped silently.
+satisfy and report slack; nothing is clipped silently.  verify_solution runs
+them all on one solution, the suite behind `formlab verify`.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import SolverError, solve_random_horizon_ladder
+from .bsde import (SolverError, martingale_residual_check,
+                   solve_random_horizon_ladder)
 from .drivers import Driver, require_monotone
-from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
-                    SignedMeasure)
-from .markov import _occupation, _path_rng, build_chain, default_horizon_cap
+from .forms import DirichletForm, FormError, SignedMeasure, _require_transient
+from .markov import (_mean_se, _occupation, _path_rng, build_chain,
+                     default_horizon_cap, revuz_check)
 
 
 class UnboundedSolutionError(SolverError):
@@ -365,11 +367,7 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     Per-node standard errors are evaluated at the returned iterate.
     """
     require_monotone(driver)
-    dead = form.killing_free_component()
-    if dead is not None:
-        raise GreenOperatorUndefined(
-            f"MC solver needs a transient form; killing-free component "
-            f"{dead}")
+    _require_transient(form)
     chain = build_chain(form)
     if horizon_cap is None:
         horizon_cap = default_horizon_cap(chain)
@@ -422,10 +420,8 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
             f"MC Picard iteration did not settle in {PICARD_ITERS} rounds")
 
     f_u = driver.value(u)
-    se = np.empty(n)
-    for x in range(n):
-        per_path = occ_rows[x] @ f_u + addf[x]
-        se[x] = float(np.std(per_path, ddof=1) / np.sqrt(counts[x]))
+    se = np.array([_mean_se(occ_rows[x] @ f_u + addf[x])[1]
+                   for x in range(n)])
     residual = weak_form_residual(form, u, f_u, mu)
     return EllipticSolution(u, f_u, residual, "mc", {
         "se": se, "max_se": float(np.max(se)),
@@ -491,12 +487,6 @@ def duality_check(form: DirichletForm, solution: EllipticSolution,
         rhs = float(np.sum(f_u * pot * form.m) + np.sum(pot * mu.masses))
         out.append(abs(lhs - rhs))
     return DualityReport(np.asarray(out), tol)
-
-
-def weak_form_check(form: DirichletForm, solution: EllipticSolution,
-                    mu: SignedMeasure) -> float:
-    """Defect of the weak formulation over the full test basis."""
-    return weak_form_residual(form, solution.u, solution.f_u, mu)
 
 
 @dataclass(frozen=True)
@@ -639,3 +629,80 @@ def green_bound_check(form: DirichletForm, solution: EllipticSolution,
     rhs = float(np.sum(np.abs(solution.f_u) * U1 * form.m)
                 + np.sum(np.abs(mu.masses) * U1))
     return GreenBoundReport(lhs, rhs, tol)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the verify suite: the checked side, its bound, the verdict."""
+
+    name: str
+    lhs: float
+    bound: float
+    passed: bool
+
+
+def verify_solution(problem, solution: EllipticSolution, *,
+                    check_tol: float = 1e-9, revuz_t: float = 0.01,
+                    paths: int = 100_000, seed: int = 0) -> list[Check]:
+    """Run the estimate suite on a solution of problem; one Check per row.
+
+    Rows, in order: weak-form; on a transient form duality, l1-bound,
+    truncation-energy, vanishing-energy and green-bound; then revuz (from
+    max(2, paths // 5) paths on seed) and martingale (on seed + 1).  A
+    Monte Carlo solution carries per-node standard errors, and the
+    deterministic gates get statistical allowances sized from them.
+    """
+    form, driver, mu = problem.form, problem.driver, problem.mu
+    u = solution.u
+    det_gate = check_tol
+    wf_gate = det_gate * 10
+    energy_allow = l1_allow = 0.0
+    if solution.method == "mc":
+        se = solution.diagnostics["se"]
+        max_se = float(np.max(se))
+        slope = np.abs(driver.deriv(u))
+        det_gate = max(check_tol, 8.0 * max_se)
+        energy_allow = 4.0 * float(np.sum((form.degree + form.k) * se ** 2))
+        l1_allow = 4.0 * float(np.sum(form.m * slope * se))
+        row_scale = float(np.max(2 * form.degree + form.k + form.m * slope))
+        wf_gate = check_tol * 10 + 4.0 * max_se * row_scale
+    checks = []
+
+    def add(name, lhs, bound, passed):
+        checks.append(Check(name, float(lhs), float(bound), bool(passed)))
+
+    add("weak-form", solution.residual, wf_gate, solution.residual <= wf_gate)
+    if form.killing_free_component() is None:
+        dual = duality_check(form, solution, mu, tol=det_gate)
+        add("duality", dual.max_residual, det_gate, dual.passed)
+        l1 = l1_bound_check(solution, driver, mu, form.m,
+                            tol=check_tol + l1_allow)
+        add("l1-bound", l1.lhs, l1.rhs + l1.tol, l1.passed)
+        sup = float(np.max(np.abs(u)))
+        ks = np.arange(0.0, 2.0 * sup + 0.25, 0.25)
+        tr = truncation_report(form, solution, mu, ks,
+                               tol=check_tol + energy_allow)
+        worst_t = int(np.argmin(tr.trunc_slack))
+        add("truncation-energy", tr.trunc_energy[worst_t],
+            tr.trunc_bound[worst_t] + tr.tol, tr.trunc_passed)
+        worst_v = int(np.argmin(tr.vanish_slack))
+        add("vanishing-energy", tr.vanish_energy[worst_v],
+            tr.vanish_bound[worst_v] + tr.tol, tr.vanish_passed)
+        gb = green_bound_check(form, solution, mu, tol=check_tol + l1_allow)
+        add("green-bound", gb.lhs, gb.rhs + gb.tol, gb.passed)
+
+    chain = build_chain(form)
+    rv = revuz_check(chain, np.ones(form.n), mu, t=revuz_t,
+                     N=max(2, paths // 5), seed=seed)
+    add("revuz", rv.discrepancy, 3.0 * rv.se + rv.bias_bound, rv.passed())
+
+    starts = np.unique(np.linspace(0, form.n - 1, min(form.n, 8)).astype(int))
+    # discount the solution's own algebraic defect before the z-ratio; the
+    # per-node floor keeps 4-sigma tails meaningful for skewed increments
+    drift = float(np.max(np.abs(weak_form_defect(form, u, solution.f_u, mu))
+                         / form.m))
+    mart = martingale_residual_check(
+        chain, u, driver, mu, N=max(4000 * starts.size, paths // 5),
+        seed=seed + 1, start_nodes=starts, drift_allowance=drift)
+    add("martingale", mart.max_abs_z, 4.0, mart.passed(4.0))
+    return checks

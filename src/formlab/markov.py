@@ -197,11 +197,7 @@ def sample_path(chain: Chain, x0: int, seed: int, horizon_cap: float,
     t = 0.0
     while True:
         lam = lam_all[x]
-        if lam <= 0.0:
-            states.append(x)
-            holds.append(horizon_cap - t)
-            return ChainPath(x0, np.asarray(states), np.asarray(holds), False)
-        hold = expovariate() / lam
+        hold = expovariate() / lam if lam > 0.0 else np.inf
         if t + hold >= horizon_cap:
             states.append(x)
             holds.append(horizon_cap - t)
@@ -262,9 +258,13 @@ def mc_expectation(chain: Chain, x0: int, functional, N: int, seed: int,
                 f"{path.states.tolist()} holds={path.holds.tolist()} "
                 f"absorbed={path.absorbed}")
         values[i] = v
-    mean = float(np.sum(values) / N)
-    se = float(np.std(values, ddof=1) / np.sqrt(N))
-    return mean, se
+    return _mean_se(values)
+
+
+def _mean_se(samples) -> tuple[float, float]:
+    """Sample mean and standard error of a 1-D float64 sample."""
+    return (float(np.mean(samples)),
+            float(np.std(samples, ddof=1) / np.sqrt(samples.size)))
 
 
 @dataclass(frozen=True)
@@ -411,9 +411,7 @@ def revuz_check(chain: Chain, f, mu: SignedMeasure, t: float, N: int,
     integral = np.zeros(N)
     for step in _lockstep(chain, [(starts, _path_rng(seed, 1))], t):
         integral[step.idx] += step.hold * rate[step.state]
-    samples = mass * integral / t
-    estimate = float(np.sum(samples) / N)
-    se = float(np.std(samples, ddof=1) / np.sqrt(N))
+    estimate, se = _mean_se(mass * integral / t)
     target = float(np.sum(f * mu.masses))
     max_lam = float(np.max(chain.lam)) if chain.n else 0.0
     bias = t * max_lam * float(np.max(np.abs(f))) * mu.total_variation

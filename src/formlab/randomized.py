@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .drivers import Driver
-from .forms import DirichletForm, Problem, SignedMeasure, StateSpace, build_form
+from .forms import DirichletForm, SignedMeasure, StateSpace, build_form
 
 
 def _random_tree_edges(rng, nodes):
@@ -102,10 +102,3 @@ def random_measure(rng, n, nonneg=False, density=0.6) -> SignedMeasure:
     masses = rng.uniform(0.0 if nonneg else -1.0, 1.0, size=n)
     masses[rng.random(n) > density] = 0.0
     return SignedMeasure(masses)
-
-
-def random_problem(rng, n_min=5, n_max=50) -> Problem:
-    form = random_transient_form(rng, n_min, n_max)
-    driver = random_monotone_driver(rng, form.n)
-    mu = random_measure(rng, form.n)
-    return Problem(form=form, driver=driver, mu=mu, meta={"family": "random"})

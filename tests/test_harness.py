@@ -149,6 +149,39 @@ def test_cli_simulate_trace(tmp_path):
     assert first[0] == "0" and first[2] == "2"
 
 
+def _simulated_paths(out, seed):
+    assert main(["simulate", "--catalog", "perturbed-g", "--start", "2",
+                 "--paths", "4", "--seed", str(seed), "--trace",
+                 "--out", str(out)]) == 0
+    paths = {}
+    for line in (out / "paths-perturbed-g.csv").read_text().splitlines()[1:]:
+        path, _, state, hold = line.split(",")
+        paths.setdefault(int(path), []).append((int(state), float(hold)))
+    meta = json.loads((out / "paths-perturbed-g.json").read_text())
+    return [paths[i] for i in range(4)], meta["config"]["horizon"]
+
+
+def test_cli_simulate_seeds_share_no_path(tmp_path):
+    chain = fl.build_chain(fl.build_catalog_problem("perturbed-g").form)
+    by_seed = {}
+    for seed in (0, 1):
+        paths, horizon = _simulated_paths(tmp_path / str(seed), seed)
+        for i, path in enumerate(paths):
+            ref = fl.sample_path(chain, 2, seed, horizon,
+                                 rng=fl.markov._path_rng(seed, i))
+            assert path == list(zip(ref.states.tolist(), ref.holds.tolist()))
+        by_seed[seed] = paths
+    assert not any(p in by_seed[1] for p in by_seed[0])
+
+
+def test_cli_simulate_has_no_tol(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--catalog", "perturbed-g", "--tol", "1e-3",
+              "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_cli_verify_passes_and_writes(tmp_path):
     code = main(["verify", "--catalog", "perturbed-g", "--method", "ladder",
                  "--paths", "20000", "--seed", "5", "--out", str(tmp_path)])
@@ -162,6 +195,35 @@ def test_cli_verify_passes_and_writes(tmp_path):
     assert all(line.rsplit(",", 1)[1] == "True" for line in lines[1:])
     assert _sha256(tmp_path / "verify.csv") == \
         "09c8788214f4600252f90e400eb1c943b5795c1b948091d59b0a378c128c733a"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--catalog", "lap2d", "--method", "mc", "--paths", "20000",
+      "--seed", "2"],
+     "037e63200434cbe34e0cecfff6bccfb9a4c1309b8fdadb3ff03cc52fdcb728cd"),
+    (["--catalog", "frac-a10", "--method", "gauss-seidel", "--paths", "10000",
+      "--seed", "1"],
+     "aaa5f730ee09d81e2f17dc018bc7748f7bb35d699c7194a35203842fc4aed6ee"),
+], ids=["lap2d-mc", "frac-a10-gauss-seidel"])
+def test_cli_verify_pinned_bytes(tmp_path, argv, digest):
+    # the Monte Carlo allowances and the Gauss-Seidel branch, pinned across
+    # commits: a change to these bytes must be deliberate
+    assert main(["verify", *argv, "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "verify.csv") == digest
+
+
+def test_verify_solution_rows_match_cli_csv(tmp_path):
+    assert main(["verify", "--catalog", "frac-a10", "--method", "gauss-seidel",
+                 "--paths", "10000", "--seed", "1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "verify.csv").read_text().splitlines()
+    problem = fl.build_catalog_problem("frac-a10")
+    checks = fl.verify_solution(problem, fl.solve(problem, "gauss-seidel"),
+                                paths=10000, seed=1)
+    assert len(checks) == len(lines) - 1
+    for check, line in zip(checks, lines[1:]):
+        row = (check.name, "frac-a10", check.lhs, check.bound,
+               check.bound - check.lhs, check.passed)
+        assert ",".join(fmt(v) for v in row) == line
 
 
 def test_cli_verify_env_default_out(tmp_path, monkeypatch):
