@@ -380,35 +380,55 @@ def _surface_quadrature(sol: BsdeSolution, driver, x, a, b):
     return float(np.sum(f * np.diff(pts)))
 
 
-def _checkpoint_values(chain: Chain, starts, rng, horizon: float, u, c, cps):
+def _checkpoint_values(chain: Chain, blocks, horizon: float, u, c, cps):
     """M_t = u(X_t) - u(X_0) + int_0^t c(X_s) ds at the times cps, per path.
 
-    M freezes at the lifetime, after the final jump of u to 0.  Holding
+    `blocks` is a list of (starts, rng) pairs run in one _lockstep call, so
+    the rows of each block equal those of a call on that block alone.  M
+    freezes at the lifetime, after the final jump of u to 0.  Holding
     windows [t_entry, t_entry + hold) are contiguous, so a checkpoint before
     a path's end falls in exactly one of them; the checkpoints at or after
-    a killing time take the frozen value.  The horizon must lie beyond the
-    last checkpoint.  Returns a (len(starts), cps.size) array.
+    a killing time take the frozen value.  cps must be strictly increasing
+    and the horizon must lie beyond its last entry.  Returns a
+    (total paths, cps.size) array, its rows in block order.
     """
-    vals = np.zeros((len(starts), cps.size))
-    m = np.zeros(len(starts))
-    lifetime = np.full(len(starts), np.inf)
-    for step in _lockstep(chain, [(starts, rng)], horizon):
-        t0 = step.t_entry[:, None]
-        r, k = np.nonzero((t0 <= cps) & (cps < t0 + step.hold[:, None]))
-        rows = step.idx[r]
-        vals[rows, k] = m[rows] + c[step.state[r]] * (cps[k] - step.t_entry[r])
-        jumps = ~step.capped
-        jidx, js, out = step.idx[jumps], step.state[jumps], step.outcome
-        m[jidx] += c[js] * step.hold[jumps]
-        killed = out == -1
-        moved = ~killed
-        m[jidx[killed]] -= u[js[killed]]
-        m[jidx[moved]] += u[out[moved]] - u[js[moved]]
-        t_exit = step.t_entry[jumps] + step.hold[jumps]
-        lifetime[jidx[killed]] = t_exit[killed]
-    r, k = np.nonzero(cps >= lifetime[:, None])
-    vals[r, k] = m[r]
+    size = sum(np.size(s) for s, _ in blocks)
+    vals = np.zeros((size, cps.size))
+    m = np.zeros(size)
+    lifetime = np.full(size, np.inf)
+    for step in _lockstep(chain, blocks, horizon):
+        _record_step(step, vals, m, lifetime, u, c, cps)
+        del step  # free its arrays before the engine builds the next Step
+    np.copyto(vals, m[:, None], where=cps >= lifetime[:, None])
     return vals
+
+
+def _record_step(step, vals, m, lifetime, u, c, cps):
+    """Write the checkpoints inside this Step's windows, then take its jumps.
+
+    The checkpoints k with t_entry <= cps[k] < t_entry + hold run from
+    cps.searchsorted(t_entry) to cps.searchsorted(t_entry + hold); each
+    pass writes the next one for every path r whose window holds one more.
+    """
+    k = cps.searchsorted(step.t_entry)
+    end = cps.searchsorted(step.t_entry + step.hold)
+    r = np.nonzero(k < end)[0]
+    while r.size:
+        kr = k[r]
+        rows = step.idx[r]
+        vals[rows, kr] = m[rows] + c[step.state[r]] * (cps[kr] - step.t_entry[r])
+        k[r] += 1
+        r = r[kr + 1 < end[r]]
+    del k, end, r
+    jumps = ~step.capped
+    jidx, js, out = step.idx[jumps], step.state[jumps], step.outcome
+    hold = step.hold[jumps]
+    m[jidx] += c[js] * hold
+    killed = out == -1
+    moved = ~killed
+    m[jidx[killed]] -= u[js[killed]]
+    m[jidx[moved]] += u[out[moved]] - u[js[moved]]
+    lifetime[jidx[killed]] = step.t_entry[jumps][killed] + hold[killed]
 
 
 @dataclass(frozen=True)
@@ -429,33 +449,47 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
                               drift_allowance: float = 0.0) -> MartingaleReport:
     """MC test that M is a martingale: E_x[M_{t'} - M_t] = 0 at checkpoints.
 
-    N paths are split evenly across the start nodes.  The report carries the
-    worst |mean|/SE ratio over all start nodes and checkpoint intervals.
-    drift_allowance (per unit time) discounts a known algebraic defect of u
-    before forming the ratio, e.g. max|Lu - M f_u - mu|/m for a solution
-    carrying Monte Carlo noise.
+    N paths are split evenly across the start nodes, and all of them run
+    in one lockstep pass: start r's paths form one block on the substream
+    _path_rng(seed, r), so each start's values are those it would get
+    alone.  The report carries the worst |mean|/SE ratio over all start
+    nodes and checkpoint intervals.  drift_allowance (per unit time)
+    discounts a known algebraic defect of u before forming the ratio, e.g.
+    max|Lu - M f_u - mu|/m for a solution carrying Monte Carlo noise.
+
+    start_nodes must be a non-empty sequence of integer nodes in [0, n), N
+    an int of at least 2 paths per start, and checkpoints finite, positive
+    and strictly increasing; otherwise FormError names the argument before
+    any path is drawn.
     """
     form = chain.form
     u = np.asarray(u, dtype=float)
+    if start_nodes is None:
+        start_nodes = np.arange(chain.n)
+    start_nodes = _checked_starts(start_nodes, chain.n)
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) \
+            or N < 2 * start_nodes.size:
+        raise FormError(
+            f"N must be an int of at least 2 paths per start node "
+            f"({2 * start_nodes.size} for {start_nodes.size} starts), "
+            f"got {N!r}")
     if checkpoints is None:
         scale = default_horizon_cap(chain) / 40.0  # about one relaxation time
         checkpoints = scale * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    cps = np.concatenate([[0.0], np.asarray(checkpoints, dtype=float)])
-    if start_nodes is None:
-        start_nodes = np.arange(chain.n)
-    start_nodes = np.asarray(start_nodes, dtype=int)
+    cps = np.concatenate([[0.0], _checked_checkpoints(checkpoints)])
     rho = mu.density(form.space)
     c_vec = driver.value(u) + rho
-    per = max(2, N // start_nodes.size)
+    per = N // start_nodes.size
+    horizon = float(cps[-1]) * (1.0 + 1e-9)
+    blocks = [(np.full(per, x0, dtype=np.int64), _path_rng(seed, rank))
+              for rank, x0 in enumerate(start_nodes)]
+    vals = _checkpoint_values(chain, blocks, horizon, u, c_vec, cps)
     rows = []
     max_z = 0.0
-    horizon = float(cps.max()) * (1.0 + 1e-9)
     for rank, x0 in enumerate(start_nodes):
-        vals = _checkpoint_values(chain, np.full(per, x0, dtype=np.int64),
-                                  _path_rng(seed, rank), horizon, u, c_vec,
-                                  cps)
+        block = vals[rank * per:(rank + 1) * per]
         for ci in range(cps.size - 1):
-            inc = vals[:, ci + 1] - vals[:, ci]
+            inc = block[:, ci + 1] - block[:, ci]
             mean, se = _mean_se(inc)
             excess = max(0.0, abs(mean)
                          - drift_allowance * float(cps[ci + 1] - cps[ci]))
@@ -463,6 +497,38 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
             max_z = max(max_z, z)
             rows.append((int(x0), float(cps[ci]), float(cps[ci + 1]), mean, se, z))
     return MartingaleReport(tuple(rows), max_z, per * start_nodes.size)
+
+
+def _checked_starts(start_nodes, n: int) -> np.ndarray:
+    """start_nodes as an int array, or FormError naming what is wrong."""
+    starts = np.asarray(start_nodes)
+    if starts.ndim != 1 or starts.size == 0:
+        raise FormError(
+            f"start_nodes must be a non-empty 1-D sequence of nodes, "
+            f"got shape {starts.shape}")
+    if starts.dtype == bool or not np.issubdtype(starts.dtype, np.integer):
+        raise FormError(
+            f"start_nodes must be integer nodes, got dtype {starts.dtype}")
+    bad = (starts < 0) | (starts >= n)
+    if np.any(bad):
+        raise FormError(
+            f"start_nodes must lie in [0, {n}), got node "
+            f"{int(starts[np.argmax(bad)])}")
+    return starts.astype(int)
+
+
+def _checked_checkpoints(checkpoints) -> np.ndarray:
+    """checkpoints as a float array, or FormError naming what is wrong."""
+    try:
+        cps = np.asarray(checkpoints, dtype=float)
+    except (TypeError, ValueError):
+        raise FormError(f"checkpoints must be numbers, got {checkpoints!r}")
+    if cps.ndim != 1 or cps.size == 0 or not np.all(np.isfinite(cps)) \
+            or cps[0] <= 0.0 or np.any(np.diff(cps) <= 0.0):
+        raise FormError(
+            f"checkpoints must be a non-empty sequence of finite, positive, "
+            f"strictly increasing times, got {cps.tolist()}")
+    return cps
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,12 @@ Two sampling layers:
     loop; it yields one Step per iteration and keeps no sums.  The paths
     come in blocks, each with its own seeded stream, and each block draws
     exactly what it would draw if it ran alone, so a block's paths do not
-    depend on the other blocks.  Its callers add up what they need:
-    _occupation (the occupation-measure solver, one block per start node),
-    revuz_check, and the martingale residual check's checkpoint recorder in
-    bsde.  With a single start it walks the same path as sample_path on the
-    same stream.
+    depend on the other blocks.  It holds only the paths still alive,
+    dropping ended ones after every iteration.  Its callers add up what
+    they need: _occupation (the occupation-measure solver, one block per
+    start node), revuz_check, and the martingale residual check's
+    checkpoint recorder in bsde (also one block per start node).  With a
+    single start it walks the same path as sample_path on the same stream.
 """
 
 from __future__ import annotations
@@ -289,55 +290,57 @@ def _lockstep(chain: Chain, blocks, horizon: float):
     """Simulate blocks of paths in lockstep up to `horizon`; yield each Step.
 
     `blocks` is a list of (starts, rng) pairs; block b's paths take the
-    next len(starts) path indices.  np.nonzero keeps idx sorted, so the
-    alive paths of each block are one contiguous slice of it.  Every
-    iteration, each block with alive paths draws standard_exponential(its
-    alive) from its own rng, then random(its jumps) twice when some jump:
-    the calls it would make alone, so its paths do not depend on the other
-    blocks.
+    next len(starts) path indices.  The engine holds only the paths still
+    alive: their indices idx, states and clocks, compacted by one boolean
+    mask after every iteration.  The mask keeps their order, so idx stays
+    sorted and the alive paths of each block are one contiguous slice of
+    it.  Every iteration, each block with alive paths draws
+    standard_exponential(its alive) from its own rng, then random(its
+    jumps) twice when some jump: the calls it would make alone, so its
+    paths do not depend on the other blocks.  An iteration's arrays are
+    freed before the next one allocates.
     """
     _check_horizon(horizon)
     rngs = [rng for _, rng in blocks]
     starts = [np.asarray(s, dtype=np.int64) for s, _ in blocks]
     bounds = np.cumsum([0] + [s.size for s in starts])
     state = np.concatenate(starts)
+    idx = np.arange(state.size)
     t = np.zeros(state.size)
-    alive = np.ones(state.size, dtype=bool)
-    while True:
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            return
-        s = state[idx]
-        raw = np.empty(idx.size)
+    while idx.size:
+        hold = np.empty(idx.size)
         cut = idx.searchsorted(bounds).tolist()
         for rng, a, z in zip(rngs, cut, cut[1:]):
             if a < z:
-                rng.standard_exponential(out=raw[a:z])
-        lam = chain.lam[s]
-        hold = np.divide(raw, lam, out=np.full(idx.size, np.inf),
-                         where=lam > 0.0)
-        t_entry = t[idx]
-        t_exit = t_entry + hold
-        capped = t_exit >= horizon
+                rng.standard_exponential(out=hold[a:z])
+        lam = chain.lam[state]
+        positive = lam > 0.0
+        np.divide(hold, lam, out=hold, where=positive)
+        hold[~positive] = np.inf
+        del lam, positive
+        capped = t + hold >= horizon
         jumps = ~capped
-        jidx = idx[jumps]
         outcome = np.empty(0, dtype=np.int64)
-        if jidx.size:
-            r1, r2 = [], []
-            cut = jidx.searchsorted(bounds).tolist()
+        before = np.zeros(idx.size + 1, dtype=np.int64)  # jumps before i
+        np.cumsum(jumps, out=before[1:])
+        cut = before[cut].tolist()
+        del before
+        if cut[-1]:
+            r = np.empty((2, cut[-1]))
             for rng, a, z in zip(rngs, cut, cut[1:]):
                 if a < z:
-                    r1.append(rng.random(z - a))
-                    r2.append(rng.random(z - a))
-            r1, r2 = np.concatenate(r1), np.concatenate(r2)
-            outcome = chain.draw_next(s[jumps], r1, r2)
-        yield Step(idx, s, t_entry, np.where(capped, horizon - t_entry, hold),
-                   capped, outcome)
-        # the state and clock of a path that ended are never read again
-        alive[idx[capped]] = False
-        alive[jidx[outcome == -1]] = False
-        state[jidx] = outcome
-        t[idx] = t_exit
+                    rng.random(out=r[0, a:z])
+                    rng.random(out=r[1, a:z])
+            outcome = chain.draw_next(state[jumps], r[0], r[1])
+            del r
+        np.subtract(horizon, t, out=hold, where=capped)
+        yield Step(idx, state, t, hold, capped, outcome)
+        # a path goes on when it jumped to a state, not to the cemetery; the
+        # capped entries of hold were cut, so t + hold is redone on jumps only
+        live = outcome != -1
+        jumps[jumps] = live
+        idx, state, t = idx[jumps], outcome[live], t[jumps] + hold[jumps]
+        del hold, capped, jumps, outcome, live
 
 
 def _mapped_zeros(rows: int, cols: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import formlab as fl
 from formlab.bsde import SolverError, _checkpoint_values
 from formlab.markov import _occupation, _path_rng
 from formlab.randomized import (random_measure, random_monotone_driver,
-                                random_transient_form)
+                                random_shaped_form, random_transient_form)
 
 
 def single_node(m=1.0, k=1.0):
@@ -488,8 +488,8 @@ def test_lockstep_engine_matches_single_path_exactly():
         np.add.at(ref, path.states, path.holds)
         assert np.array_equal(occ[0], ref)
 
-        vals = _checkpoint_values(chain, [x], _path_rng(7, i), horizon, u, c,
-                                  cps)
+        vals = _checkpoint_values(chain, [([x], _path_rng(7, i))], horizon,
+                                  u, c, cps)
         times, M = fl.extract_martingale(path, u, drv, mu, form)
         j = np.searchsorted(times, cps, side="right") - 1
         alive = j < len(path)
@@ -498,6 +498,113 @@ def test_lockstep_engine_matches_single_path_exactly():
                           M[jj] + c[path.states[jj]] * (cps - times[jj]),
                           M[-1])
         assert np.array_equal(vals[0], expect)
+
+
+
+def _with_isolated_node(form):
+    """The form with one more node, which neither jumps nor dies."""
+    n = form.n
+    W = np.zeros((n + 1, n + 1))
+    W[:n, :n] = form.W.toarray()
+    return fl.build_form(fl.StateSpace(np.append(form.m, 1.0)), W,
+                         np.append(form.k, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["path", "grid", "dense"])
+@pytest.mark.parametrize("case", ["uncapped", "capped", "zero-rate"])
+def test_martingale_starts_run_as_if_alone(kind, case):
+    # one lockstep pass over every start stacks the one-block recordings bit
+    # for bit, whether paths die, are cut at the horizon or hold forever
+    rng = np.random.default_rng(["path", "grid", "dense"].index(kind))
+    form = random_shaped_form(rng, kind, 9)
+    if case == "zero-rate":
+        form = _with_isolated_node(form)
+    chain = fl.build_chain(form)
+    u = rng.normal(size=form.n)
+    c = rng.normal(size=form.n)
+    scale = fl.default_horizon_cap(chain) / 40.0
+    cps = scale * np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    horizon = scale if case == "capped" else np.inf
+    starts = [rng.integers(0, form.n, size=size) for size in (1, 37, 200, 5)]
+    if case == "zero-rate":
+        starts.insert(2, np.full(3, form.n - 1))
+
+    def blocks():
+        return [(s, _path_rng(11, b)) for b, s in enumerate(starts)]
+
+    merged = _checkpoint_values(chain, blocks(), horizon, u, c, cps)
+    alone = [_checkpoint_values(chain, [block], horizon, u, c, cps)
+             for block in blocks()]
+    assert np.array_equal(merged, np.vstack(alone))
+    _, capped = _occupation(chain, blocks(), horizon)
+    assert (capped > 0) == (case != "uncapped")
+    if case == "zero-rate":  # a path that never moves keeps M = c t
+        frozen = merged[38:41]
+        assert np.array_equal(frozen, np.tile(c[-1] * cps, (3, 1)))
+
+
+@pytest.fixture(scope="module")
+def hostile_setup():
+    rng = np.random.default_rng(22)
+    form = random_transient_form(rng, 6, 6)
+    return fl.build_chain(form), rng.normal(size=form.n), \
+        random_monotone_driver(rng, form.n), random_measure(rng, form.n)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"start_nodes": []}, "start_nodes"),
+    ({"start_nodes": [-1]}, "start_nodes"),
+    ({"start_nodes": [6]}, "start_nodes"),
+    ({"start_nodes": [0.5]}, "start_nodes"),
+    ({"start_nodes": [True]}, "start_nodes"),
+    ({"start_nodes": [[0, 1]]}, "start_nodes"),
+    ({"N": 1}, "N"), ({"N": 0}, "N"), ({"N": -5}, "N"), ({"N": 2.5}, "N"),
+    ({"N": 3, "start_nodes": [0, 1]}, "N"),
+    ({"checkpoints": [2.0, 1.0]}, "checkpoints"),
+    ({"checkpoints": [1.0, 1.0]}, "checkpoints"),
+    ({"checkpoints": []}, "checkpoints"),
+    ({"checkpoints": [0.0]}, "checkpoints"),
+    ({"checkpoints": [-1.0, 1.0]}, "checkpoints"),
+    ({"checkpoints": [0.5, np.nan]}, "checkpoints"),
+    ({"checkpoints": [0.5, np.inf]}, "checkpoints"),
+    ({"checkpoints": "soon"}, "checkpoints"),
+])
+def test_hostile_martingale_arguments_named(hostile_setup, monkeypatch,
+                                            kwargs, name):
+    # each is refused by name before any path is drawn
+    chain, u, drv, mu = hostile_setup
+    assert chain.n == 6
+    drawn = []
+    monkeypatch.setattr(fl.bsde, "_lockstep",
+                        lambda *args: drawn.append(args) or iter(()))
+    with pytest.raises(fl.FormError, match=rf"\b{name}\b.*, got "):
+        fl.martingale_residual_check(chain, u, drv, mu,
+                                     **{"N": 100, "seed": 0, **kwargs})
+    assert drawn == []
+
+
+def test_martingale_check_memory_bounded():
+    # 8 starts x 4,000 paths in one pass: the engine keeps only the alive
+    # paths and the recorder frees each Step, so no width-by-checkpoint
+    # temporary or second generation of arrays lifts the peak
+    p = fl.build_catalog_problem(
+        {"family": "lap1d", "n": 24,
+         "driver": {"family": "power", "c": 1.0, "p": 2.0, "g": 1.0},
+         "measure": [{"x": 0.5, "mass": 1.0}]})
+    sol = fl.solve_elliptic_gauss_seidel(p.form, p.driver, p.mu, tol=1e-11)
+    chain = fl.build_chain(p.form)
+    starts = np.unique(np.linspace(0, p.form.n - 1, 8).astype(int))
+    assert starts.size == 8
+    tracemalloc.start()
+    try:
+        rep = fl.martingale_residual_check(chain, sol.u, p.driver, p.mu,
+                                           N=32_000, seed=1,
+                                           start_nodes=starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_paths == 32_000
+    assert peak < 8 * 2 ** 20, peak
 
 
 # -- comparison -------------------------------------------------------------------
