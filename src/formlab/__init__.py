@@ -10,17 +10,15 @@ from .markov import (AdditiveFunctional, Chain, ChainPath, RevuzReport,
                      SimulationError, additive_functional, build_chain,
                      default_horizon_cap, mc_expectation, revuz_check,
                      sample_path)
-from .bsde import (BsdeSolution, ComparisonReport, LadderTrace,
-                   MartingaleReport, SolverError, bsde_comparison_check,
+from .bsde import (BsdeSolution, LadderTrace, MartingaleReport, SolverError,
                    extract_martingale, martingale_residual_check,
                    solve_finite_horizon, solve_random_horizon_ladder)
 from .elliptic import (METHODS, Check, DualityReport, EllipticSolution,
-                       GreenBoundReport, L1Report, TruncationReport, TvReport,
+                       GreenBoundReport, L1Report, TruncationReport,
                        UnboundedSolutionError, duality_check,
                        green_bound_check, l1_bound_check, solve,
                        solve_elliptic_gauss_seidel, solve_elliptic_ladder,
-                       solve_elliptic_mc, truncation_report,
-                       tv_comparison_check, verify_solution)
+                       solve_elliptic_mc, truncation_report, verify_solution)
 from .convergence import StudyReport, boundary_exponent_fit, convergence_study, green_profile_1d
 
 __version__ = "0.1.0"

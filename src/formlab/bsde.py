@@ -1,11 +1,12 @@
 """Backward equations on the chain filtration.
 
-On a finite chain the backward value process is a surface v(t, x) with
-Y_t = v(t, X_t).  The finite-horizon equation is the backward system
+On a finite chain the backward value process is Y_t = v(t, X_t) for a value
+function v on [0, T] x E.  The finite-horizon equation is the backward system
 
     d/dt v = (Lv)/m - f(., v) - rho,      v(T, .) = terminal,
 
-integrated here by implicit Euler: each step solves the monotone system
+integrated here by implicit Euler, keeping only the current time slice:
+each step solves the monotone system
 
     (M + dt L) v - dt M f(., v) = M v_prev + dt masses(mu)
 
@@ -19,11 +20,12 @@ residual gate, is taken whole without a line search.  The stationary point
 of a step is exactly the elliptic solution, so long horizons converge to
 it without a step-size floor.
 
-The random-horizon solution is built by the horizon ladder: at level n the
-data are truncated at n, the driver is regularized at Lipschitz level n
-when it carries no usable Lipschitz bound, and the finite-horizon problem
-with terminal 0 is solved up to T_n = 2^n / min positive rate.  Ladder
-increments contract super-geometrically once truncation deactivates.
+The random-horizon solution u(x) = Y_0 under P_x is built by the horizon
+ladder: at level n the data are truncated at n, the driver is regularized
+at Lipschitz level n when it carries no usable Lipschitz bound, and the
+finite-horizon problem with terminal 0 is solved up to T_n = 2^n / min
+positive rate; each level reads only v(0, .).  Ladder increments contract
+super-geometrically once truncation deactivates.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import scipy.linalg as sla
 
 from .drivers import Driver, truncate_data, yosida_regularize
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
-                    Problem, SignedMeasure, perturb)
+                    SignedMeasure, perturb)
 from .markov import (Chain, ChainPath, _lockstep, _mean_se, _path_rng,
                      default_horizon_cap)
 
@@ -48,29 +50,16 @@ class SolverError(RuntimeError):
 NEWTON_TOL = 1e-13
 # Yosida grid spacing as a fraction of the a priori radius.
 YOSIDA_DELTA_FRAC = 1.0 / 4096.0
-# Largest value surface, (steps + 1) * n doubles (512 MiB), that
-# solve_finite_horizon allocates.
-MAX_SURFACE_VALUES = 2 ** 26
+# Most node updates, steps * n, that one solve_finite_horizon call takes on.
+MAX_STEP_WORK = 2 ** 26
 
 
 @dataclass
 class BsdeSolution:
-    """Backward value surface on a uniform time grid; u = v(0, .)."""
+    """The time-0 slice u = v(0, .) of a backward solve, with its diagnostics."""
 
-    times: np.ndarray
-    surface: np.ndarray
     u: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-    def value_at(self, t: float, x: int) -> float:
-        """Linear-in-time interpolation of the surface at (t, x)."""
-        if self.times.size == 1:
-            return float(self.surface[0, x])
-        tt = np.clip(t, self.times[0], self.times[-1])
-        j = min(int(np.searchsorted(self.times, tt, side="right")) - 1,
-                self.times.size - 2)
-        w = (tt - self.times[j]) / (self.times[j + 1] - self.times[j])
-        return float((1 - w) * self.surface[j, x] + w * self.surface[j + 1, x])
 
 
 def _step_factor(form, dt, slope):
@@ -131,13 +120,14 @@ def _implicit_step(form, dt, driver, rhs, v_init, jacobian, *, tol, max_iter):
 def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
                          terminal, T: float, dt: float, *,
                          max_newton: int = 60) -> BsdeSolution:
-    """Backward implicit-Euler integration of the value surface on [0, T].
+    """Backward implicit-Euler integration of v from v(T, .) = terminal to t = 0.
 
-    The terminal slice of the returned surface equals ``terminal`` exactly.
-    dt is rounded so the grid divides T evenly.  A grid whose surface would
-    exceed MAX_SURFACE_VALUES raises FormError before anything is allocated.
-    For an affine driver the step Jacobian does not depend on v; it is
-    factored once, at the first step, and shared by every step.
+    Only the current slice is kept, so memory does not grow with the step
+    count; the result holds u = v(0, .).  dt is rounded so the grid divides
+    T evenly.  A grid whose steps * n node updates would exceed
+    MAX_STEP_WORK raises FormError before any step is taken.  For an affine
+    driver the step Jacobian does not depend on v; it is factored once, at
+    the first step, and shared by every step.
     """
     if not (np.isfinite(T) and T >= 0):
         raise FormError(f"horizon T must be finite and nonnegative, got {T}")
@@ -147,18 +137,15 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     if terminal.shape != (form.n,):
         raise FormError(f"terminal data has shape {terminal.shape}, expected ({form.n},)")
     if T == 0:
-        times = np.array([0.0])
-        surf = terminal[None, :].copy()
-        return BsdeSolution(times, surf, surf[0].copy(), {"steps": 0})
+        return BsdeSolution(terminal.copy(), {"steps": 0})
     steps = max(1.0, float(np.rint(T / dt)))
-    if (steps + 1.0) * form.n > MAX_SURFACE_VALUES:
+    if steps * form.n > MAX_STEP_WORK:
         raise FormError(
             f"horizon T = {T:g} at step dt = {dt:g} takes {steps:g} steps; "
-            f"the surface of (steps + 1) x {form.n} values exceeds "
-            f"MAX_SURFACE_VALUES = {MAX_SURFACE_VALUES}")
+            f"{steps:g} x {form.n} node updates exceed "
+            f"MAX_STEP_WORK = {MAX_STEP_WORK}")
     steps = int(steps)
     dt = T / steps
-    times = np.linspace(0.0, T, steps + 1)
     affine_factor = None
 
     def jacobian(v):
@@ -169,8 +156,6 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
             affine_factor = _step_factor(form, dt, driver.constant_slope)
         return affine_factor
 
-    surface = np.empty((steps + 1, form.n))
-    surface[steps] = terminal
     total_iters = 0
     v = terminal.copy()
     for j in range(steps - 1, -1, -1):
@@ -180,14 +165,13 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
                 form, dt, driver, rhs, v, jacobian,
                 tol=NEWTON_TOL, max_iter=max_newton)
         except SolverError as exc:
-            raise SolverError(f"backward step {j} (t = {times[j]:.6g}): {exc}")
+            raise SolverError(f"backward step {j} (t = {j * dt:.6g}): {exc}")
         if not np.all(np.isfinite(v)):
             bad = int(np.argmax(~np.isfinite(v)))
             raise SolverError(f"non-finite value at step {j}, node {bad}")
-        surface[j] = v
         total_iters += iters
-    return BsdeSolution(times, surface, surface[0].copy(),
-                        {"steps": steps, "dt": dt, "inner_iterations": total_iters})
+    return BsdeSolution(v, {"steps": steps, "dt": dt,
+                            "inner_iterations": total_iters})
 
 
 @dataclass(frozen=True)
@@ -326,18 +310,16 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
         f"sup-increments: {incs} (non-transient form or unbounded solution?)")
 
 
-def extract_martingale(path: ChainPath, solution, driver: Driver,
+def extract_martingale(path: ChainPath, u, driver: Driver,
                        mu: SignedMeasure, form: DirichletForm):
-    """Martingale increments along a sampled path.
+    """Martingale increments along a sampled path, one path at a time.
 
-    M_t = Y_t - Y_0 + int_0^t [f(X_s, Y_s) + rho(X_s)] ds with Y_s = u(X_s)
-    for a vector solution, or v(s, X_s) for a BsdeSolution surface (the time
-    integral then uses the surface's own grid).  Returns (times, M) sampled
-    at the jump instants, with the post-lifetime value frozen.
+    M_t = u(X_t) - u(X_0) + int_0^t [f(X_s, u(X_s)) + rho(X_s)] ds.
+    Returns (times, M) sampled at the jump instants, with the post-lifetime
+    value frozen.  It is the per-path reference for _checkpoint_values.
     """
     rho = mu.density(form.space)
-    parabolic = isinstance(solution, BsdeSolution)
-    u = solution.u if parabolic else np.asarray(solution, dtype=float)
+    u = np.asarray(u, dtype=float)
 
     times = [0.0]
     mvals = [0.0]
@@ -345,39 +327,17 @@ def extract_martingale(path: ChainPath, solution, driver: Driver,
     M = 0.0
     for j, (x, hold) in enumerate(zip(path.states, path.holds)):
         x = int(x)
-        if parabolic:
-            drift = _surface_quadrature(solution, driver, x, t, t + hold) \
-                + rho[x] * hold
-        else:
-            fx = float(driver.value_at(np.array([x]), np.array([u[x]]))[0])
-            drift = (fx + rho[x]) * hold
-        M += drift
+        fx = float(driver.value_at(np.array([x]), np.array([u[x]]))[0])
+        M += (fx + rho[x]) * hold
         t += hold
         last = j == len(path) - 1
         if last and path.absorbed:
-            yx = solution.value_at(t, x) if parabolic else u[x]
-            M += 0.0 - yx
+            M -= u[x]
         elif not last:
-            x_next = int(path.states[j + 1])
-            if parabolic:
-                M += solution.value_at(t, x_next) - solution.value_at(t, x)
-            else:
-                M += u[x_next] - u[x]
+            M += u[int(path.states[j + 1])] - u[x]
         times.append(t)
         mvals.append(M)
     return np.asarray(times), np.asarray(mvals)
-
-
-def _surface_quadrature(sol: BsdeSolution, driver, x, a, b):
-    """int_a^b f(x, v(s, x)) ds on the surface's grid (midpoint per segment)."""
-    if b <= a:
-        return 0.0
-    inner = sol.times[(sol.times > a) & (sol.times < b)]
-    pts = np.concatenate([[a], inner, [b]])
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    vals = np.array([sol.value_at(s, x) for s in mids])
-    f = driver.value_at(np.full(mids.size, x, dtype=int), vals)
-    return float(np.sum(f * np.diff(pts)))
 
 
 def _checkpoint_values(chain: Chain, blocks, horizon: float, u, c, cps):
@@ -457,13 +417,13 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
     discounts a known algebraic defect of u before forming the ratio, e.g.
     max|Lu - M f_u - mu|/m for a solution carrying Monte Carlo noise.
 
-    start_nodes must be a non-empty sequence of integer nodes in [0, n), N
-    an int of at least 2 paths per start, and checkpoints finite, positive
-    and strictly increasing; otherwise FormError names the argument before
-    any path is drawn.
+    u must be n finite values, start_nodes a non-empty sequence of integer
+    nodes in [0, n), N an int of at least 2 paths per start, and checkpoints
+    finite, positive and strictly increasing; otherwise FormError names the
+    argument before any path is drawn.
     """
     form = chain.form
-    u = np.asarray(u, dtype=float)
+    u = _checked_u(u, chain.n)
     if start_nodes is None:
         start_nodes = np.arange(chain.n)
     start_nodes = _checked_starts(start_nodes, chain.n)
@@ -499,6 +459,18 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
     return MartingaleReport(tuple(rows), max_z, per * start_nodes.size)
 
 
+def _checked_u(u, n: int) -> np.ndarray:
+    """u as a float vector of n finite values, or FormError naming what is wrong."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise FormError(f"u must be a vector of {n} values, got shape {u.shape}")
+    bad = ~np.isfinite(u)
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise FormError(f"u must be finite, got {u[node]} at node {node}")
+    return u
+
+
 def _checked_starts(start_nodes, n: int) -> np.ndarray:
     """start_nodes as an int array, or FormError naming what is wrong."""
     starts = np.asarray(start_nodes)
@@ -529,46 +501,3 @@ def _checked_checkpoints(checkpoints) -> np.ndarray:
             f"checkpoints must be a non-empty sequence of finite, positive, "
             f"strictly increasing times, got {cps.tolist()}")
     return cps
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Outcome of an ordered-data comparison between two solutions."""
-
-    hypotheses_met: bool
-    reason: str
-    worst_margin: float        # max(u1 - u2); <= tol when the order holds
-    surface_margin: float | None
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.hypotheses_met and self.worst_margin <= self.tol
-
-
-def bsde_comparison_check(problem1: Problem, problem2: Problem,
-                          sol1, sol2, tol: float = 1e-10) -> ComparisonReport:
-    """Check u1 <= u2 under ordered measures and an ordered monotone driver.
-
-    Hypotheses: mu1 <= mu2 node-wise, and f1(., u1) <= f2(., u1) with f2
-    monotone, or f1(., u2) <= f2(., u2) with f1 monotone.  If they fail the
-    report says so without judging the solutions.
-    """
-    u1 = sol1.u if hasattr(sol1, "u") else np.asarray(sol1, dtype=float)
-    u2 = sol2.u if hasattr(sol2, "u") else np.asarray(sol2, dtype=float)
-    d1, d2 = problem1.driver, problem2.driver
-    if np.any(problem1.mu.masses > problem2.mu.masses + 1e-13):
-        return ComparisonReport(False, "measures not ordered", np.inf, None, tol)
-    idx = np.arange(u1.size)
-    cond1 = d2.monotone and np.all(
-        d1.value_at(idx, u1) <= d2.value_at(idx, u1) + 1e-12)
-    cond2 = d1.monotone and np.all(
-        d1.value_at(idx, u2) <= d2.value_at(idx, u2) + 1e-12)
-    if not (cond1 or cond2):
-        return ComparisonReport(False, "driver order hypothesis fails", np.inf, None, tol)
-    margin = float(np.max(u1 - u2))
-    surf_margin = None
-    if isinstance(sol1, BsdeSolution) and isinstance(sol2, BsdeSolution) \
-            and sol1.surface.shape == sol2.surface.shape:
-        surf_margin = float(np.max(sol1.surface - sol2.surface))
-    return ComparisonReport(True, "ok", margin, surf_margin, tol)

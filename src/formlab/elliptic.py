@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (SolverError, martingale_residual_check,
+from .bsde import (SolverError, _checked_u, martingale_residual_check,
                    solve_random_horizon_ladder)
 from .drivers import Driver, require_monotone
 from .forms import DirichletForm, FormError, SignedMeasure, _require_transient
@@ -331,14 +331,13 @@ def _raise_non_finite(u, sweep):
 
 
 def solve_elliptic_ladder(form: DirichletForm, driver: Driver,
-                          mu: SignedMeasure, *, tol_outer: float = 1e-8,
-                          steps_per_level: int = 128,
-                          max_levels: int = 44) -> EllipticSolution:
-    """Elliptic solution read off the random-horizon ladder, u = v(0, .)."""
+                          mu: SignedMeasure) -> EllipticSolution:
+    """Elliptic solution read off the random-horizon ladder, u = v(0, .).
+
+    The ladder runs at the defaults of solve_random_horizon_ladder.
+    """
     require_monotone(driver)
-    sol, trace = solve_random_horizon_ladder(
-        form, driver, mu, tol_outer=tol_outer,
-        steps_per_level=steps_per_level, max_levels=max_levels)
+    sol, trace = solve_random_horizon_ladder(form, driver, mu)
     f_u = driver.value(sol.u)
     residual = weak_form_residual(form, sol.u, f_u, mu)
     return EllipticSolution(sol.u, f_u, residual, "ladder",
@@ -573,41 +572,6 @@ def truncation_report(form: DirichletForm, solution: EllipticSolution,
 
 
 @dataclass(frozen=True)
-class TvReport:
-    hypothesis_met: bool
-    reason: str
-    tv1: float
-    tv2: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        # no judgment when the hypotheses fail
-        return (not self.hypothesis_met) or self.tv1 <= self.tv2 + self.tol
-
-
-def tv_comparison_check(form: DirichletForm, mu1: SignedMeasure,
-                        mu2: SignedMeasure, tol: float = 1e-9) -> TvReport:
-    """Total-mass comparison from ordered potentials.
-
-    For nonnegative mu1 and nonnegative bounded mu2 with U mu1 <= U mu2
-    pointwise, |mu1|(E) <= |mu2|(E).  Nonnegativity of mu1 is part of the
-    hypothesis: a signed mu1 below mu2 can have larger total variation even
-    with ordered potentials.
-    """
-    if np.any(mu2.masses < 0):
-        raise FormError("TV comparison requires mu2 >= 0")
-    if np.any(mu1.masses < 0):
-        return TvReport(False, "mu1 has negative mass",
-                        mu1.total_variation, mu2.total_variation, tol)
-    p1 = form.solve(mu1.masses)
-    p2 = form.solve(mu2.masses)
-    met = bool(np.all(p1 <= p2 + 1e-12))
-    reason = "ok" if met else "potentials not ordered"
-    return TvReport(met, reason, mu1.total_variation, mu2.total_variation, tol)
-
-
-@dataclass(frozen=True)
 class GreenBoundReport:
     lhs: float
     rhs: float
@@ -650,10 +614,11 @@ def verify_solution(problem, solution: EllipticSolution, *,
     truncation-energy, vanishing-energy and green-bound; then revuz (from
     max(2, paths // 5) paths on seed) and martingale (on seed + 1).  A
     Monte Carlo solution carries per-node standard errors, and the
-    deterministic gates get statistical allowances sized from them.
+    deterministic gates get statistical allowances sized from them.  A u
+    that is not n finite values raises FormError naming u before any check.
     """
     form, driver, mu = problem.form, problem.driver, problem.mu
-    u = solution.u
+    u = _checked_u(solution.u, form.n)
     det_gate = check_tol
     wf_gate = det_gate * 10
     energy_allow = l1_allow = 0.0

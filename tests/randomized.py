@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .drivers import Driver
-from .forms import DirichletForm, SignedMeasure, StateSpace, build_form
+from formlab.drivers import Driver
+from formlab.forms import DirichletForm, SignedMeasure, StateSpace, build_form
 
 
 def _random_tree_edges(rng, nodes):

@@ -9,8 +9,8 @@ import pytest
 
 import formlab as fl
 from formlab.elliptic import clamp
-from formlab.randomized import (random_form, random_measure,
-                                random_monotone_driver, random_transient_form)
+from randomized import (random_form, random_measure,
+                        random_monotone_driver, random_transient_form)
 
 MC_PROBLEMS = ("lap1d-dirac", "divform-b", "frac-a10", "perturbed-g")
 

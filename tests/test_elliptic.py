@@ -15,8 +15,8 @@ from formlab import elliptic
 from formlab.catalog import CATALOG
 from formlab.elliptic import (UnboundedSolutionError, clamp, level_slice,
                               weak_form_residual)
-from formlab.randomized import (random_measure, random_monotone_driver,
-                                random_shaped_form, random_transient_form)
+from randomized import (random_measure, random_monotone_driver,
+                        random_shaped_form, random_transient_form)
 
 
 def single_node(m=1.0, k=1.0):
@@ -250,7 +250,6 @@ def test_green_solves_raise_on_recurrent_form():
         lambda: fl.potential(form, mu),
         lambda: fl.equilibrium_potential(form, [0]),
         lambda: fl.duality_check(form, sol, mu),
-        lambda: fl.tv_comparison_check(form, mu, mu),
         lambda: fl.green_bound_check(form, sol, mu),
         lambda: fl.solve_elliptic_mc(form, fl.Driver.zero(3), mu,
                                      n_paths=300, seed=0),
@@ -404,47 +403,6 @@ def test_level_slice_definition():
     u = np.array([-3.0, -0.4, 0.2, 1.4, 2.6])
     np.testing.assert_allclose(level_slice(u, 1.0),
                                [-1.0, 0.0, 0.0, 0.4, 1.0])
-
-
-def test_tv_comparison():
-    rng = np.random.default_rng(23)
-    form = random_transient_form(rng, 6, 10)
-    mu2 = random_measure(rng, form.n, nonneg=True)
-    rep = fl.tv_comparison_check(form, mu2, mu2)
-    assert rep.hypothesis_met and rep.passed
-    half = fl.tv_comparison_check(form, 0.5 * mu2, mu2)
-    assert half.hypothesis_met and half.passed
-    assert half.tv1 == pytest.approx(0.5 * half.tv2)
-
-
-def test_tv_comparison_randomized_when_hypothesis_holds():
-    # mu1 = mu2 minus a small atom placed where mu2 keeps mu1 nonnegative
-    rng = np.random.default_rng(24)
-    checked = 0
-    for _ in range(50):
-        form = random_transient_form(rng, 5, 12)
-        mu2 = random_measure(rng, form.n, nonneg=True)
-        heavy = np.nonzero(mu2.masses >= 0.1)[0]
-        if heavy.size == 0:
-            continue
-        eps = np.zeros(form.n)
-        eps[int(rng.choice(heavy))] = 0.05
-        mu1 = fl.SignedMeasure(mu2.masses - eps)
-        rep = fl.tv_comparison_check(form, mu1, mu2)
-        if rep.hypothesis_met:
-            checked += 1
-            assert rep.passed
-    assert checked > 20
-
-
-def test_tv_comparison_signed_mu1_declines_judgment():
-    rng = np.random.default_rng(26)
-    form = random_transient_form(rng, 5, 8)
-    mu2 = random_measure(rng, form.n, nonneg=True)
-    mu1 = fl.SignedMeasure(mu2.masses - 1.0)
-    rep = fl.tv_comparison_check(form, mu1, mu2)
-    assert not rep.hypothesis_met
-    assert "negative" in rep.reason
 
 
 def test_green_bound(solved_problem):

@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 import formlab as fl
 from formlab import elliptic
 from formlab.bsde import SolverError
-from formlab.randomized import (random_form, random_measure,
-                                random_shaped_form, random_transient_form)
+from randomized import (random_form, random_measure,
+                        random_shaped_form, random_transient_form)
 
 
 def two_node_form(w=1.0, k=(0.0, 0.0), m=(1.0, 1.0)):

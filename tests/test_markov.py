@@ -6,8 +6,8 @@ from scipy.linalg import expm
 
 import formlab as fl
 from formlab.markov import SimulationError, _occupation, _path_rng
-from formlab.randomized import (random_measure, random_shaped_form,
-                                random_transient_form)
+from randomized import (random_measure, random_shaped_form,
+                        random_transient_form)
 
 
 def single_node(m=1.0, k=1.0):
