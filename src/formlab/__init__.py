@@ -13,8 +13,7 @@ from .markov import (AdditiveFunctional, Chain, ChainPath, RevuzReport,
 from .bsde import (BsdeSolution, LadderTrace, MartingaleReport, SolverError,
                    extract_martingale, martingale_residual_check,
                    solve_finite_horizon, solve_random_horizon_ladder)
-from .elliptic import (METHODS, Check, DualityReport, EllipticSolution,
-                       GreenBoundReport, L1Report, TruncationReport,
+from .elliptic import (METHODS, Check, EllipticSolution,
                        UnboundedSolutionError, duality_check,
                        green_bound_check, l1_bound_check, solve,
                        solve_elliptic_gauss_seidel, solve_elliptic_ladder,

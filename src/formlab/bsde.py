@@ -52,6 +52,12 @@ NEWTON_TOL = 1e-13
 YOSIDA_DELTA_FRAC = 1.0 / 4096.0
 # Most node updates, steps * n, that one solve_finite_horizon call takes on.
 MAX_STEP_WORK = 2 ** 26
+# Horizon ladder: stop when the sup-norm increment between consecutive
+# levels is at most LADDER_TOL, with LADDER_STEPS implicit steps per level
+# and at most LADDER_MAX_LEVELS doubling horizons.
+LADDER_TOL = 1e-8
+LADDER_STEPS = 128
+LADDER_MAX_LEVELS = 44
 
 
 @dataclass
@@ -222,29 +228,16 @@ def _regularization_defect(base: Driver, reg: Driver, span: float,
 
 def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
                                 mu: SignedMeasure, schedule=None, *,
-                                tol_outer: float = 1e-8,
-                                steps_per_level: int = 128,
-                                max_levels: int = 44,
                                 yosida_radius: float | None = None):
     """Random-horizon solution via the doubling-horizon ladder.
 
     Level n truncates the data at n, regularizes the driver at Lipschitz
     level n if it has no finite local Lipschitz bound on the a priori range,
     and integrates backward from terminal 0 over [0, T_n].  Stops when the
-    sup-norm increment between consecutive levels is at most tol_outer.
+    sup-norm increment between consecutive levels is at most LADDER_TOL.
 
-    Returns (BsdeSolution, LadderTrace).  A tol_outer that is not positive
-    and finite, or a steps_per_level or max_levels that is not a positive
-    int, raises FormError naming the argument.
+    Returns (BsdeSolution, LadderTrace).
     """
-    if not (np.isfinite(tol_outer) and tol_outer > 0):
-        raise FormError(
-            f"tol_outer must be positive and finite, got {tol_outer}")
-    for name, count in (("steps_per_level", steps_per_level),
-                        ("max_levels", max_levels)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
-                or count < 1:
-            raise FormError(f"{name} must be a positive int, got {count!r}")
     lam = (form.degree + form.k) / form.m
     positive = lam[lam > 0]
     t0 = 1.0 / float(positive.min()) if positive.size else 1.0
@@ -255,7 +248,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
         gap = form.spectral_gap()
         if gap > 1e-12:
             t0 = max(t0, np.log(2.0) / gap)
-        schedule = [t0 * 2.0 ** j for j in range(1, max_levels + 1)]
+        schedule = [t0 * 2.0 ** j for j in range(1, LADDER_MAX_LEVELS + 1)]
     radius = yosida_radius
     if radius is None:
         radius = _apriori_radius(form, driver, mu)
@@ -291,7 +284,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
                                                          radius / 2.0)
         drv_n, mu_n = truncate_data(drv, mu, level)
         sol = solve_finite_horizon(form, drv_n, mu_n, np.zeros(form.n),
-                                   T, T / steps_per_level)
+                                   T, T / LADDER_STEPS)
         inc = float(np.max(np.abs(sol.u - u_prev)))
         levels.append(LadderLevel(
             level=level, horizon=T, sup_increment=inc,
@@ -299,9 +292,9 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
             truncation_active=(f0_max > level or mu_max > level),
             yosida_level=yosida_level, tol_floor=floor))
         u_prev = sol.u
-        if level >= 2 and inc <= max(tol_outer, floor):
+        if level >= 2 and inc <= max(LADDER_TOL, floor):
             trace = LadderTrace(levels, converged=True,
-                                achieved_tol=max(tol_outer, floor))
+                                achieved_tol=max(LADDER_TOL, floor))
             sol.diagnostics["ladder"] = trace
             return sol, trace
     incs = [lv.sup_increment for lv in levels]

@@ -39,6 +39,9 @@ class DescriptorError(ValueError):
 
 DEFAULT_DRIVER = {"family": "power", "c": 1.0, "p": 2.0, "g": 1.0}
 
+#: Most entries of the dense n x n jump kernel a frac descriptor may ask for.
+MAX_DENSE_VALUES = 2 ** 26
+
 #: Stable catalog ids.  diag-5.7 is the degenerate multiplication form with
 #: c(x) = |x|, whose exact solution for mu = m is u(x) = 1/|x|.
 CATALOG = {
@@ -80,6 +83,38 @@ def catalog_ids():
     return sorted(CATALOG)
 
 
+def _integer(value, key, least):
+    """A JSON integer >= least, or DescriptorError naming key."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DescriptorError(
+            f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _real(value, key):
+    """A JSON number as a float, or DescriptorError naming key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DescriptorError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, key):
+    """A JSON number or list of numbers as floats, or DescriptorError naming key."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DescriptorError(f"{key} must be numeric, got {value!r}") from None
+
+
+def _interval(value):
+    """(lo, hi) as floats with lo < hi, or DescriptorError naming interval."""
+    ends = _reals(value, "interval")
+    if ends.shape != (2,) or not ends[0] < ends[1]:
+        raise DescriptorError(
+            f"interval must be two numbers lo < hi, got {value!r}")
+    return float(ends[0]), float(ends[1])
+
+
 def _cell_grid(a: float, b: float, n: int):
     h = (b - a) / n
     x = a + (np.arange(n) + 0.5) * h
@@ -90,13 +125,15 @@ def _coefficient(desc):
     """Coefficient function a(x) from a descriptor; defaults to 1."""
     if desc is None:
         return lambda x: np.ones_like(np.asarray(x, dtype=float))
+    if not isinstance(desc, dict):
+        raise DescriptorError(f"coeff must be a JSON object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "constant":
-        val = float(desc.get("value", 1.0))
+        val = _real(desc.get("value", 1.0), "coeff value")
         return lambda x, v=val: np.full_like(np.asarray(x, dtype=float), v)
     if kind == "affine":
-        c0 = float(desc.get("c0", 1.0))
-        c1 = float(desc.get("c1", 0.0))
+        c0 = _real(desc.get("c0", 1.0), "coeff c0")
+        c1 = _real(desc.get("c1", 0.0), "coeff c1")
         return lambda x, c0=c0, c1=c1: c0 + c1 * np.asarray(x, dtype=float)
     raise DescriptorError(f"unknown coefficient kind {kind!r}")
 
@@ -109,10 +146,8 @@ def frac_normalization(alpha: float) -> float:
 
 def build_grid_1d(n, coeff=None, interval=(0.0, 1.0), dirichlet=True) -> DirichletForm:
     """Cell-centered 1-d divergence-form grid; Dirichlet killing optional."""
-    if n < 2:
-        raise DescriptorError(f"grid needs n >= 2, got {n}")
     a_fn = _coefficient(coeff)
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = _interval(interval)
     x, h = _cell_grid(lo, hi, n)
     faces = x[:-1] + h / 2.0
     a_face = np.asarray(a_fn(faces), dtype=float)
@@ -140,8 +175,6 @@ def build_grid_2d(n_side, coeff=None) -> DirichletForm:
     The coefficient is evaluated at the first coordinate of each face
     midpoint (the descriptor coefficients are functions of one variable).
     """
-    if n_side < 2:
-        raise DescriptorError(f"grid needs n >= 2 per side, got {n_side}")
     a_fn = _coefficient(coeff)
 
     def a_at(x_coord):
@@ -193,9 +226,11 @@ def build_frac(n, alpha, interval=(-1.0, 1.0)) -> DirichletForm:
     """Jump form of the fractional symbol on an interval, zero outside."""
     if not (0.0 < alpha < 2.0):
         raise DescriptorError(f"alpha must lie in (0, 2), got {alpha}")
-    if n < 2:
-        raise DescriptorError(f"grid needs n >= 2, got {n}")
-    lo, hi = float(interval[0]), float(interval[1])
+    if n * n > MAX_DENSE_VALUES:
+        raise DescriptorError(
+            f"frac n = {n} asks for a dense kernel of {n * n} values, over "
+            f"MAX_DENSE_VALUES = {MAX_DENSE_VALUES}")
+    lo, hi = _interval(interval)
     x, h = _cell_grid(lo, hi, n)
     c = frac_normalization(alpha)
     diff = np.abs(x[:, None] - x[None, :])
@@ -209,11 +244,9 @@ def build_frac(n, alpha, interval=(-1.0, 1.0)) -> DirichletForm:
 
 def build_diag(n, interval=(-1.0, 1.0), c_fn=None) -> DirichletForm:
     """Degenerate multiplication form W = 0, k_i = c(x_i) m_i, c(x) = |x| by default."""
-    if n < 2:
-        raise DescriptorError(f"grid needs n >= 2, got {n}")
     if c_fn is None:
         c_fn = np.abs
-    x, h = _cell_grid(float(interval[0]), float(interval[1]), n)
+    x, h = _cell_grid(*_interval(interval), n)
     c = np.asarray(c_fn(x), dtype=float)
     if np.any(np.abs(c) < 1e-12):
         bad = int(np.argmin(np.abs(c)))
@@ -238,12 +271,18 @@ def place_atoms(space: StateSpace, atoms) -> SignedMeasure:
     masses = np.zeros(space.n)
     coords = space.coordinates()
     for atom in atoms:
+        if not isinstance(atom, dict):
+            raise DescriptorError(f"measure atom must be a JSON object, got {atom!r}")
         if "node" in atom:
-            node = int(atom["node"])
-            if not (0 <= node < space.n):
+            node = _integer(atom["node"], "atom node", 0)
+            if node >= space.n:
                 raise DescriptorError(f"atom node {node} out of range")
         elif "x" in atom:
-            target = np.asarray(atom["x"], dtype=float)
+            target = _reals(atom["x"], "atom x")
+            if target.shape != coords.shape[1:]:
+                raise DescriptorError(
+                    f"atom x {atom['x']!r} does not match the grid's "
+                    f"{coords.ndim}-d coordinates")
             if coords.ndim == 1:
                 dist = np.abs(coords - float(target))
             else:
@@ -251,7 +290,7 @@ def place_atoms(space: StateSpace, atoms) -> SignedMeasure:
             node = int(np.argmin(dist))  # argmin takes the first (lowest) index on ties
         else:
             raise DescriptorError(f"measure atom needs 'node' or 'x': {atom!r}")
-        masses[node] += float(atom["mass"])
+        masses[node] += _real(atom.get("mass"), "atom mass")
     return SignedMeasure(masses)
 
 
@@ -277,13 +316,16 @@ def build_catalog_problem(descriptor) -> Problem:
                 f"unknown catalog id {descriptor!r}; known ids: {catalog_ids()}")
         desc = dict(CATALOG[descriptor])
         desc.setdefault("_id", descriptor)
-    else:
+    elif isinstance(descriptor, dict):
         desc = dict(descriptor)
+    else:
+        raise DescriptorError(
+            f"a descriptor must be a JSON object, got {type(descriptor).__name__}")
     unknown = set(desc) - _ALLOWED_KEYS - {"_id"}
     if unknown:
         raise DescriptorError(f"unknown descriptor keys {sorted(unknown)}")
     family = desc.get("family")
-    n = int(desc.get("n", 64))
+    n = _integer(desc.get("n", 64), "n", 2)
 
     if family == "lap1d":
         form = build_grid_1d(n, coeff=desc.get("coeff"),
@@ -295,12 +337,13 @@ def build_catalog_problem(descriptor) -> Problem:
     elif family == "lap2d":
         form = build_grid_2d(n, coeff=desc.get("coeff"))
     elif family == "frac":
-        form = build_frac(n, float(desc.get("alpha", 1.0)),
+        form = build_frac(n, _real(desc.get("alpha", 1.0), "alpha"),
                           interval=desc.get("interval", (-1.0, 1.0)))
     elif family == "diag":
         form = build_diag(n, interval=desc.get("interval", (-1.0, 1.0)))
     elif family == "perturbed":
-        form = build_perturbed(n, g=desc.get("g", 1.0), coeff=desc.get("coeff"))
+        form = build_perturbed(n, g=_reals(desc.get("g", 1.0), "g"),
+                               coeff=desc.get("coeff"))
     else:
         raise DescriptorError(f"unknown catalog family {family!r}")
 
@@ -315,11 +358,13 @@ def build_catalog_problem(descriptor) -> Problem:
 
 def load_problem(path) -> Problem:
     """Read a problem descriptor from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             desc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DescriptorError(f"{path}: invalid JSON ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise DescriptorError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise DescriptorError(f"{path}: cannot read ({exc.strerror})") from exc
     try:
         return build_catalog_problem(desc)
     except (DescriptorError, DriverError) as exc:

@@ -29,8 +29,16 @@ class DriverError(ValueError):
 _TABLE_SLOPE_TOL = 1e-12
 
 
+def _floats(v, name):
+    """v as a float array, or DriverError naming the parameter."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise DriverError(f"{name} must be numeric, got {v!r}") from None
+
+
 def _pernode(v, n, name):
-    a = np.asarray(v, dtype=float)
+    a = _floats(v, name)
     if a.ndim == 0:
         a = np.full(n, float(a))
     if a.shape != (n,):
@@ -84,9 +92,10 @@ class Driver:
         """f(x, y) = g(x) - c(x) * sign(y)|y|^p with c >= 0, p > 0."""
         c = _pernode(c, n, "c")
         g = _pernode(g, n, "g")
+        p = _floats(p, "p")
+        if p.ndim or not p > 0:
+            raise DriverError(f"power exponent p must be positive, got {p}")
         p = float(p)
-        if p <= 0:
-            raise DriverError(f"power exponent must be positive, got {p}")
         if np.any(c < 0):
             raise DriverError("power coefficient c must be nonnegative")
         return Driver(n, "power", {"c": c, "p": p, "g": g},
@@ -95,8 +104,8 @@ class Driver:
     @staticmethod
     def tabulated(ygrid, values) -> "Driver":
         """Per-node piecewise-linear table; extrapolates with the end slopes."""
-        y = np.asarray(ygrid, dtype=float)
-        V = np.asarray(values, dtype=float)
+        y = _floats(ygrid, "ygrid")
+        V = _floats(values, "values")
         if y.ndim != 1 or y.size < 2 or np.any(np.diff(y) <= 0):
             raise DriverError("tabulated ygrid must be strictly increasing")
         if V.ndim != 2 or V.shape[1] != y.size:
@@ -322,4 +331,4 @@ def make_driver(desc: dict, n: int) -> Driver:
     if fam == "power":
         return Driver.power(n, desc.get("c", 1.0), desc.get("p", 2.0),
                             desc.get("g", 0.0))
-    return Driver.tabulated(desc["ygrid"], desc["values"])
+    return Driver.tabulated(desc.get("ygrid"), desc.get("values"))

@@ -21,8 +21,11 @@ Each solver first checks that f is nonincreasing in y and raises DriverError
 naming the node where it increases.
 
 The check functions compute both sides of each estimate the solutions must
-satisfy and report slack; nothing is clipped silently.  verify_solution runs
-them all on one solution, the suite behind `formlab verify`.
+satisfy, from u and f_u = f(., u), and return Check(name, lhs, bound) rows
+with passed = lhs <= bound; nothing is clipped silently.  verify_solution
+runs them all on one solution, the suite behind `formlab verify`: it reads
+only u, computing f_u and the defect Lu - M f_u - mu once.  The revuz row
+checks the chain and the measure, not u.
 """
 
 from __future__ import annotations
@@ -45,10 +48,13 @@ class UnboundedSolutionError(SolverError):
 
 @dataclass
 class EllipticSolution:
-    """Solution vector with its nonlinearity values and defect."""
+    """Solution vector with the solver's own defect, ||Lu - M f(u) - mu||_inf.
+
+    residual is the solver's report (`formlab solve` writes it to the
+    sidecar summary); the estimate suite recomputes every row from u.
+    """
 
     u: np.ndarray
-    f_u: np.ndarray
     residual: float
     method: str
     diagnostics: dict = field(default_factory=dict)
@@ -312,7 +318,7 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                 f_u = driver.value(u)
                 residual = weak_form_residual(form, u, f_u, mu)
             if residual <= 10 * tol:
-                return EllipticSolution(u, f_u, residual, "gauss-seidel", {
+                return EllipticSolution(u, residual, "gauss-seidel", {
                     "sweeps": sweeps, "omega": omega,
                     "fallback_sweep": fallback_sweep})
             if not np.isfinite(residual):
@@ -334,13 +340,12 @@ def solve_elliptic_ladder(form: DirichletForm, driver: Driver,
                           mu: SignedMeasure) -> EllipticSolution:
     """Elliptic solution read off the random-horizon ladder, u = v(0, .).
 
-    The ladder runs at the defaults of solve_random_horizon_ladder.
+    The ladder runs at bsde's LADDER_TOL, LADDER_STEPS and LADDER_MAX_LEVELS.
     """
     require_monotone(driver)
     sol, trace = solve_random_horizon_ladder(form, driver, mu)
-    f_u = driver.value(sol.u)
-    residual = weak_form_residual(form, sol.u, f_u, mu)
-    return EllipticSolution(sol.u, f_u, residual, "ladder",
+    residual = weak_form_residual(form, sol.u, driver.value(sol.u), mu)
+    return EllipticSolution(sol.u, residual, "ladder",
                             {"ladder": trace, "levels": trace.final_level})
 
 
@@ -422,7 +427,7 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     se = np.array([_mean_se(occ_rows[x] @ f_u + addf[x])[1]
                    for x in range(n)])
     residual = weak_form_residual(form, u, f_u, mu)
-    return EllipticSolution(u, f_u, residual, "mc", {
+    return EllipticSolution(u, residual, "mc", {
         "se": se, "max_se": float(np.max(se)),
         "capped_fraction": capped_fraction, "picard_iters": iters,
         "damping": theta, "n_paths": int(n_paths), "seed": int(seed),
@@ -454,62 +459,35 @@ def solve(problem, method: str, *, tol: float = 1e-11,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DualityReport:
-    residuals: np.ndarray    # one per test measure
-    tol: float
+class Check:
+    """One row of the estimate suite: the checked side and its bound."""
 
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals))
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-
-def duality_check(form: DirichletForm, solution: EllipticSolution,
-                  mu: SignedMeasure, test_measures=None,
-                  tol: float = 1e-9) -> DualityReport:
-    """Pairing identity <nu, u> = (f_u, U nu)_m + <mu, U nu> per test measure.
-
-    The default family is every Dirac measure, for which the residual vector
-    is |u - G(M f_u + masses)| computed with one Green solve per node.
-    """
-    u, f_u = solution.u, solution.f_u
-    if test_measures is None:
-        res = np.abs(u - form.solve(form.m * f_u + mu.masses))
-        return DualityReport(res, tol)
-    out = []
-    for nu in test_measures:
-        pot = form.solve(nu.masses)
-        lhs = float(np.sum(u * nu.masses))
-        rhs = float(np.sum(f_u * pot * form.m) + np.sum(pot * mu.masses))
-        out.append(abs(lhs - rhs))
-    return DualityReport(np.asarray(out), tol)
-
-
-@dataclass(frozen=True)
-class L1Report:
+    name: str
     lhs: float
-    rhs: float
-    tol: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
+    bound: float
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs + self.tol
+        return self.lhs <= self.bound
 
 
-def l1_bound_check(solution: EllipticSolution, driver: Driver,
-                   mu: SignedMeasure, m, tol: float = 1e-9) -> L1Report:
+def duality_check(form: DirichletForm, u, f_u, mu: SignedMeasure,
+                  tol: float = 1e-9) -> Check:
+    """Pairing identity <nu, u> = (f_u, U nu)_m + <mu, U nu> for every Dirac nu.
+
+    lhs is max |u - G(M f_u + masses)|, from one Green solve.  It bounds the
+    pairing defect of any test measure nu by |nu|(E) lhs.
+    """
+    res = np.abs(u - form.solve(form.m * f_u + mu.masses))
+    return Check("duality", float(np.max(res)), float(tol))
+
+
+def l1_bound_check(form: DirichletForm, driver: Driver, f_u,
+                   mu: SignedMeasure, tol: float = 1e-9) -> Check:
     """Integrability bound: sum m|f_u| <= sum m|f(.,0)| + |mu|(E)."""
-    m = np.asarray(m, dtype=float)
-    lhs = float(np.sum(m * np.abs(solution.f_u)))
-    rhs = float(np.sum(m * np.abs(driver.f0()))) + mu.total_variation
-    return L1Report(lhs, rhs, tol)
+    lhs = float(np.sum(form.m * np.abs(f_u)))
+    rhs = float(np.sum(form.m * np.abs(driver.f0()))) + mu.total_variation
+    return Check("l1-bound", lhs, float(rhs + tol))
 
 
 def clamp(u, k):
@@ -522,43 +500,15 @@ def level_slice(u, k):
     return clamp(u - clamp(u, k), 1.0)
 
 
-@dataclass(frozen=True)
-class TruncationReport:
-    """Energies of clamped solutions and of their unit slices, with bounds."""
-
-    ks: np.ndarray
-    trunc_energy: np.ndarray
-    trunc_bound: np.ndarray
-    vanish_energy: np.ndarray
-    vanish_bound: np.ndarray
-    tol: float
-
-    @property
-    def trunc_slack(self) -> np.ndarray:
-        return self.trunc_bound - self.trunc_energy
-
-    @property
-    def vanish_slack(self) -> np.ndarray:
-        return self.vanish_bound - self.vanish_energy
-
-    @property
-    def trunc_passed(self) -> bool:
-        return bool(np.all(self.trunc_slack >= -self.tol))
-
-    @property
-    def vanish_passed(self) -> bool:
-        return bool(np.all(self.vanish_slack >= -self.tol))
-
-
-def truncation_report(form: DirichletForm, solution: EllipticSolution,
-                      mu: SignedMeasure, ks, tol: float = 1e-9) -> TruncationReport:
-    """Truncation and vanishing energies at each level k, with their bounds.
+def truncation_report(form: DirichletForm, u, f_u, mu: SignedMeasure, ks,
+                      tol: float = 1e-9) -> tuple[Check, Check]:
+    """Truncation and vanishing energies over the levels ks, with their bounds.
 
     E(T_k u) <= k (||f_u||_L1 + |mu|(E)) for the clamp T_k, and the energy of
     the unit slice above k is at most the mass of m|f_u| + |mu| on |u| >= k.
+    Each row reports the level with the least slack, bound - energy.
     """
     ks = np.asarray(ks, dtype=float)
-    u, f_u = solution.u, solution.f_u
     m = form.m
     l1 = float(np.sum(m * np.abs(f_u)))
     tv = mu.total_variation
@@ -568,41 +518,22 @@ def truncation_report(form: DirichletForm, solution: EllipticSolution,
     vb = np.array([
         float(np.sum((m * np.abs(f_u) + np.abs(mu.masses))[np.abs(u) >= k]))
         for k in ks])
-    return TruncationReport(ks, te, tb, ve, vb, tol)
+    t, v = int(np.argmin(tb - te)), int(np.argmin(vb - ve))
+    return (Check("truncation-energy", float(te[t]), float(tb[t] + tol)),
+            Check("vanishing-energy", float(ve[v]), float(vb[v] + tol)))
 
 
-@dataclass(frozen=True)
-class GreenBoundReport:
-    lhs: float
-    rhs: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs + self.tol
-
-
-def green_bound_check(form: DirichletForm, solution: EllipticSolution,
-                      mu: SignedMeasure, tol: float = 1e-9) -> GreenBoundReport:
+def green_bound_check(form: DirichletForm, u, f_u, mu: SignedMeasure,
+                      tol: float = 1e-9) -> Check:
     """L1 bound through the bounded potential of the reference measure.
 
     With U1 = G(M 1):  sum m|u| <= (|f_u|, U1)_m + <|mu|, U1>.
     """
     U1 = form.solve(form.m * np.ones(form.n))
-    lhs = float(np.sum(form.m * np.abs(solution.u)))
-    rhs = float(np.sum(np.abs(solution.f_u) * U1 * form.m)
+    lhs = float(np.sum(form.m * np.abs(u)))
+    rhs = float(np.sum(np.abs(f_u) * U1 * form.m)
                 + np.sum(np.abs(mu.masses) * U1))
-    return GreenBoundReport(lhs, rhs, tol)
-
-
-@dataclass(frozen=True)
-class Check:
-    """One row of the verify suite: the checked side, its bound, the verdict."""
-
-    name: str
-    lhs: float
-    bound: float
-    passed: bool
+    return Check("green-bound", lhs, float(rhs + tol))
 
 
 def verify_solution(problem, solution: EllipticSolution, *,
@@ -610,15 +541,20 @@ def verify_solution(problem, solution: EllipticSolution, *,
                     paths: int = 100_000, seed: int = 0) -> list[Check]:
     """Run the estimate suite on a solution of problem; one Check per row.
 
-    Rows, in order: weak-form; on a transient form duality, l1-bound,
-    truncation-energy, vanishing-energy and green-bound; then revuz (from
-    max(2, paths // 5) paths on seed) and martingale (on seed + 1).  A
-    Monte Carlo solution carries per-node standard errors, and the
-    deterministic gates get statistical allowances sized from them.  A u
-    that is not n finite values raises FormError naming u before any check.
+    Every row that reads the solution reads solution.u alone: f_u and the
+    defect Lu - M f_u - mu are computed here, once.  Rows, in order:
+    weak-form; on a transient form duality, l1-bound, truncation-energy,
+    vanishing-energy and green-bound; then revuz (from max(2, paths // 5)
+    paths on seed) and martingale (on seed + 1).  The revuz row checks the
+    chain and the measure, not u.  A Monte Carlo solution carries per-node
+    standard errors, and the deterministic gates get statistical allowances
+    sized from them.  A u that is not n finite values raises FormError
+    naming u before any check.
     """
     form, driver, mu = problem.form, problem.driver, problem.mu
     u = _checked_u(solution.u, form.n)
+    f_u = driver.value(u)
+    defect = weak_form_defect(form, u, f_u, mu)
     det_gate = check_tol
     wf_gate = det_gate * 10
     energy_allow = l1_allow = 0.0
@@ -631,43 +567,30 @@ def verify_solution(problem, solution: EllipticSolution, *,
         l1_allow = 4.0 * float(np.sum(form.m * slope * se))
         row_scale = float(np.max(2 * form.degree + form.k + form.m * slope))
         wf_gate = check_tol * 10 + 4.0 * max_se * row_scale
-    checks = []
-
-    def add(name, lhs, bound, passed):
-        checks.append(Check(name, float(lhs), float(bound), bool(passed)))
-
-    add("weak-form", solution.residual, wf_gate, solution.residual <= wf_gate)
+    checks = [Check("weak-form", float(np.max(np.abs(defect))), wf_gate)]
     if form.killing_free_component() is None:
-        dual = duality_check(form, solution, mu, tol=det_gate)
-        add("duality", dual.max_residual, det_gate, dual.passed)
-        l1 = l1_bound_check(solution, driver, mu, form.m,
-                            tol=check_tol + l1_allow)
-        add("l1-bound", l1.lhs, l1.rhs + l1.tol, l1.passed)
         sup = float(np.max(np.abs(u)))
         ks = np.arange(0.0, 2.0 * sup + 0.25, 0.25)
-        tr = truncation_report(form, solution, mu, ks,
-                               tol=check_tol + energy_allow)
-        worst_t = int(np.argmin(tr.trunc_slack))
-        add("truncation-energy", tr.trunc_energy[worst_t],
-            tr.trunc_bound[worst_t] + tr.tol, tr.trunc_passed)
-        worst_v = int(np.argmin(tr.vanish_slack))
-        add("vanishing-energy", tr.vanish_energy[worst_v],
-            tr.vanish_bound[worst_v] + tr.tol, tr.vanish_passed)
-        gb = green_bound_check(form, solution, mu, tol=check_tol + l1_allow)
-        add("green-bound", gb.lhs, gb.rhs + gb.tol, gb.passed)
+        checks += [duality_check(form, u, f_u, mu, tol=det_gate),
+                   l1_bound_check(form, driver, f_u, mu,
+                                  tol=check_tol + l1_allow),
+                   *truncation_report(form, u, f_u, mu, ks,
+                                      tol=check_tol + energy_allow),
+                   green_bound_check(form, u, f_u, mu,
+                                     tol=check_tol + l1_allow)]
 
     chain = build_chain(form)
     rv = revuz_check(chain, np.ones(form.n), mu, t=revuz_t,
                      N=max(2, paths // 5), seed=seed)
-    add("revuz", rv.discrepancy, 3.0 * rv.se + rv.bias_bound, rv.passed())
+    checks.append(Check("revuz", float(rv.discrepancy),
+                        float(3.0 * rv.se + rv.bias_bound)))
 
     starts = np.unique(np.linspace(0, form.n - 1, min(form.n, 8)).astype(int))
     # discount the solution's own algebraic defect before the z-ratio; the
     # per-node floor keeps 4-sigma tails meaningful for skewed increments
-    drift = float(np.max(np.abs(weak_form_defect(form, u, solution.f_u, mu))
-                         / form.m))
+    drift = float(np.max(np.abs(defect) / form.m))
     mart = martingale_residual_check(
         chain, u, driver, mu, N=max(4000 * starts.size, paths // 5),
         seed=seed + 1, start_nodes=starts, drift_allowance=drift)
-    add("martingale", mart.max_abs_z, 4.0, mart.passed(4.0))
+    checks.append(Check("martingale", float(mart.max_abs_z), 4.0))
     return checks

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -51,7 +52,8 @@ def test_gs_scalar_cubic():
     sol = fl.solve_elliptic_gauss_seidel(form, fl.Driver.power(1, 1.0, 3.0, 1.0),
                                          fl.SignedMeasure(np.zeros(1)))
     assert sol.u[0] == pytest.approx(0.6823278, abs=1e-7)
-    assert sol.f_u[0] == pytest.approx(1 - sol.u[0] ** 3, rel=1e-12)
+    drv = fl.Driver.power(1, 1.0, 3.0, 1.0)
+    assert drv.value(sol.u)[0] == pytest.approx(1 - sol.u[0] ** 3, rel=1e-12)
 
 
 def test_gs_unbounded_node_reported():
@@ -69,7 +71,7 @@ def test_gs_residual_definition():
     drv = random_monotone_driver(rng, form.n)
     mu = random_measure(rng, form.n)
     sol = fl.solve_elliptic_gauss_seidel(form, drv, mu)
-    assert sol.residual == weak_form_residual(form, sol.u, sol.f_u, mu)
+    assert sol.residual == weak_form_residual(form, sol.u, drv.value(sol.u), mu)
     assert sol.residual <= 1e-10
 
 
@@ -244,13 +246,13 @@ def test_green_solves_raise_on_recurrent_form():
     W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     form = fl.build_form(fl.StateSpace(np.ones(3)), W, np.zeros(3))
     mu = fl.SignedMeasure(np.ones(3))
-    sol = fl.EllipticSolution(np.zeros(3), np.zeros(3), 0.0, "test")
+    zeros = np.zeros(3)
     calls = [
         lambda: form.solve(np.ones(3)),
         lambda: fl.potential(form, mu),
         lambda: fl.equilibrium_potential(form, [0]),
-        lambda: fl.duality_check(form, sol, mu),
-        lambda: fl.green_bound_check(form, sol, mu),
+        lambda: fl.duality_check(form, zeros, zeros, mu),
+        lambda: fl.green_bound_check(form, zeros, zeros, mu),
         lambda: fl.solve_elliptic_mc(form, fl.Driver.zero(3), mu,
                                      n_paths=300, seed=0),
     ]
@@ -307,45 +309,56 @@ def solved_problem():
     drv = random_monotone_driver(rng, form.n)
     mu = random_measure(rng, form.n)
     sol = fl.solve_elliptic_gauss_seidel(form, drv, mu, tol=1e-13)
-    return form, drv, mu, sol
+    return form, drv, mu, sol.u, drv.value(sol.u)
+
+
+def test_check_row_passes_iff_lhs_within_bound():
+    assert fl.Check("x", 1.0, 1.0).passed
+    assert not fl.Check("x", np.nextafter(1.0, 2.0), 1.0).passed
+    assert not fl.Check("x", np.nan, 1.0).passed
 
 
 def test_duality_exact_solution(solved_problem):
-    form, drv, mu, sol = solved_problem
-    rep = fl.duality_check(form, sol, mu)
-    assert rep.passed
-    assert rep.max_residual <= 1e-9
+    form, drv, mu, u, f_u = solved_problem
+    row = fl.duality_check(form, u, f_u, mu)
+    assert row.name == "duality" and row.bound == 1e-9
+    assert row.passed
 
 
 def test_duality_detects_perturbation(solved_problem):
-    form, drv, mu, sol = solved_problem
-    bad = fl.EllipticSolution(sol.u.copy(), sol.f_u.copy(), sol.residual,
-                              "gauss-seidel")
-    bad.u[4] += 1e-2
-    bad.f_u = drv.value(bad.u)
-    rep = fl.duality_check(form, bad, mu)
-    assert rep.residuals[4] > 1e-3
+    form, drv, mu, u, f_u = solved_problem
+    bad = u.copy()
+    bad[4] += 1e-2
+    row = fl.duality_check(form, bad, drv.value(bad), mu)
+    assert row.lhs > 1e-3 and not row.passed
 
 
 def test_duality_explicit_test_measures(solved_problem):
-    form, drv, mu, sol = solved_problem
-    nus = [fl.SignedMeasure(np.eye(form.n)[j]) for j in (0, 2)]
-    rep = fl.duality_check(form, sol, mu, test_measures=nus)
-    assert rep.residuals.shape == (2,)
-    assert rep.passed
+    # the Dirac row bounds the pairing defect of any test measure nu by
+    # |nu|(E) times its lhs, here for two Diracs and a signed mixture
+    form, drv, mu, u, f_u = solved_problem
+    bad = u + 1e-3 * np.sin(np.arange(form.n))
+    f_bad = drv.value(bad)
+    row = fl.duality_check(form, bad, f_bad, mu)
+    for nu in (np.eye(form.n)[0], np.eye(form.n)[2],
+               np.linspace(-1.0, 2.0, form.n)):
+        pot = form.solve(nu)
+        pairing = abs(float(np.sum(bad * nu))
+                      - float(np.sum(f_bad * pot * form.m) + np.sum(pot * mu.masses)))
+        assert pairing <= float(np.sum(np.abs(nu))) * row.lhs * (1 + 1e-9) + 1e-13
 
 
 def test_weak_form_zero_and_defect(solved_problem):
-    form, drv, mu, sol = solved_problem
-    assert weak_form_residual(form, sol.u, sol.f_u, mu) <= 1e-9
+    form, drv, mu, u, f_u = solved_problem
+    assert weak_form_residual(form, u, f_u, mu) <= 1e-9
     res = weak_form_residual(form, np.zeros(form.n), np.zeros(form.n), mu)
     assert res == pytest.approx(float(np.max(np.abs(mu.masses))))
 
 
 def test_l1_bound(solved_problem):
-    form, drv, mu, sol = solved_problem
-    rep = fl.l1_bound_check(sol, drv, mu, form.m)
-    assert rep.passed and rep.slack >= -1e-9
+    form, drv, mu, u, f_u = solved_problem
+    row = fl.l1_bound_check(form, drv, f_u, mu)
+    assert row.passed and row.bound - row.lhs >= -1e-9
 
 
 def test_l1_bound_y_independent_driver():
@@ -355,9 +368,10 @@ def test_l1_bound_y_independent_driver():
     drv = fl.Driver.affine(form.n, g, 0.0)
     mu = random_measure(rng, form.n)
     sol = fl.solve_elliptic_gauss_seidel(form, drv, mu)
-    rep = fl.l1_bound_check(sol, drv, mu, form.m)
-    assert rep.lhs == pytest.approx(float(np.sum(form.m * np.abs(g))), rel=1e-12)
-    assert rep.slack == pytest.approx(mu.total_variation, abs=1e-12)
+    row = fl.l1_bound_check(form, drv, drv.value(sol.u), mu)
+    assert row.lhs == pytest.approx(float(np.sum(form.m * np.abs(g))), rel=1e-12)
+    assert row.bound - 1e-9 - row.lhs == pytest.approx(mu.total_variation,
+                                                       abs=1e-12)
 
 
 def test_l1_bound_linear_damping_nonneg():
@@ -367,36 +381,39 @@ def test_l1_bound_linear_damping_nonneg():
     mu = random_measure(rng, form.n, nonneg=True)
     sol = fl.solve_elliptic_gauss_seidel(form, drv, mu, tol=1e-13)
     assert np.all(sol.u >= -1e-12)
-    rep = fl.l1_bound_check(sol, drv, mu, form.m)
-    assert rep.passed
+    assert fl.l1_bound_check(form, drv, drv.value(sol.u), mu).passed
 
 
 def test_truncation_energy_report(solved_problem):
-    form, drv, mu, sol = solved_problem
-    sup = float(np.max(np.abs(sol.u)))
+    form, drv, mu, u, f_u = solved_problem
+    sup = float(np.max(np.abs(u)))
     ks = np.arange(0.0, 2 * sup + 0.25, 0.25)
-    rep = fl.truncation_report(form, sol, mu, ks)
-    assert rep.trunc_passed
-    assert np.all(rep.trunc_energy >= 0)
-    # inactive truncation still obeys the bound
-    big = rep.ks >= sup
-    assert np.any(big)
-    vals = [form.energy(clamp(sol.u, k)) for k in rep.ks]
-    np.testing.assert_allclose(rep.trunc_energy, vals)
+    trunc, _ = fl.truncation_report(form, u, f_u, mu, ks)
+    assert trunc.name == "truncation-energy" and trunc.passed
+    # the row is the level with the least slack; one level at a time, each
+    # row reads that level's energy, inactive truncation included
+    assert np.any(ks >= sup)
+    rows = [fl.truncation_report(form, u, f_u, mu, [k])[0] for k in ks]
+    vals = [form.energy(clamp(u, k)) for k in ks]
+    np.testing.assert_allclose([r.lhs for r in rows], vals)
+    assert all(r.lhs >= 0 and r.passed for r in rows)
+    worst = int(np.argmin([r.bound - r.lhs for r in rows]))
+    assert trunc.lhs == rows[worst].lhs and trunc.bound == rows[worst].bound
 
 
 def test_vanishing_energy_report(solved_problem):
-    form, drv, mu, sol = solved_problem
-    sup = float(np.max(np.abs(sol.u)))
+    form, drv, mu, u, f_u = solved_problem
+    sup = float(np.max(np.abs(u)))
     ks = np.arange(0.0, 2 * sup + 0.25, 0.25)
-    rep = fl.truncation_report(form, sol, mu, ks)
-    assert rep.vanish_passed
+    assert fl.truncation_report(form, u, f_u, mu, ks)[1].passed
     # both sides vanish once k clears the solution's sup norm
-    top = rep.ks > sup
-    assert np.all(rep.vanish_energy[top] == 0.0)
-    assert np.all(rep.vanish_bound[top] == 0.0)
+    for k in ks[ks > sup]:
+        row = fl.truncation_report(form, u, f_u, mu, [k], tol=0.0)[1]
+        assert row.lhs == 0.0 and row.bound == 0.0
     # k = 0 slice is the unit clamp
-    assert rep.vanish_energy[0] == pytest.approx(form.energy(clamp(sol.u, 1.0)))
+    row = fl.truncation_report(form, u, f_u, mu, [0.0])[1]
+    assert row.name == "vanishing-energy"
+    assert row.lhs == pytest.approx(form.energy(clamp(u, 1.0)))
 
 
 def test_level_slice_definition():
@@ -406,9 +423,9 @@ def test_level_slice_definition():
 
 
 def test_green_bound(solved_problem):
-    form, drv, mu, sol = solved_problem
-    rep = fl.green_bound_check(form, sol, mu)
-    assert rep.passed
+    form, drv, mu, u, f_u = solved_problem
+    row = fl.green_bound_check(form, u, f_u, mu)
+    assert row.name == "green-bound" and row.passed
 
 
 def test_duality_weak_martingale_agree_iff():
@@ -418,15 +435,71 @@ def test_duality_weak_martingale_agree_iff():
     form = random_transient_form(rng, 6, 6)
     drv = fl.Driver.power(form.n, 0.5, 2.0, rng.normal(size=form.n))
     mu = random_measure(rng, form.n)
-    sol = fl.solve_elliptic_gauss_seidel(form, drv, mu, tol=1e-13)
+    u = fl.solve_elliptic_gauss_seidel(form, drv, mu, tol=1e-13).u
     chain = fl.build_chain(form)
-    assert fl.duality_check(form, sol, mu).passed
-    assert weak_form_residual(form, sol.u, sol.f_u, mu) <= 1e-9
-    assert fl.martingale_residual_check(chain, sol.u, drv, mu,
+    assert fl.duality_check(form, u, drv.value(u), mu).passed
+    assert weak_form_residual(form, u, drv.value(u), mu) <= 1e-9
+    assert fl.martingale_residual_check(chain, u, drv, mu,
                                         N=60_000, seed=2).passed()
-    bad_u = sol.u + np.eye(form.n)[1]
-    bad = fl.EllipticSolution(bad_u, drv.value(bad_u), 0.0, "x")
-    assert not fl.duality_check(form, bad, mu).passed
-    assert weak_form_residual(form, bad.u, bad.f_u, mu) > 1e-3
-    assert not fl.martingale_residual_check(chain, bad.u, drv, mu,
+    bad = u + np.eye(form.n)[1]
+    assert not fl.duality_check(form, bad, drv.value(bad), mu).passed
+    assert weak_form_residual(form, bad, drv.value(bad), mu) > 1e-3
+    assert not fl.martingale_residual_check(chain, bad, drv, mu,
                                             N=60_000, seed=2).passed()
+
+
+# -- power of the verify rows --------------------------------------------------------
+
+def _bump(size):
+    return lambda u: u + size * (np.arange(u.size) == np.argmax(u))
+
+
+PERTURBATIONS = {"none": lambda u: u, "+1e-9": _bump(1e-9),
+                 "+1e-6": _bump(1e-6), "+1e-3": _bump(1e-3),
+                 "+0.1": _bump(0.1), "x1.01": lambda u: 1.01 * u,
+                 "zero": np.zeros_like}
+WF_DUAL = {"weak-form", "duality"}
+# Every (problem, method, perturbation) case with the rows it must fail.
+# The +c cases raise u by c at its largest node.  Every lap2d case runs;
+# perturbed-g's verify takes about 2 s (its martingale paths live long), so
+# it runs a subset.  GS and the ladder fail the same rows in every case.
+POWER_CASES = [
+    *[("lap2d", method, name, fails)
+      for method in ("gauss-seidel", "ladder")
+      for name, fails in [("none", set()), ("+1e-9", {"duality"}),
+                          ("+1e-6", WF_DUAL | {"green-bound"}),
+                          ("+1e-3", WF_DUAL | {"green-bound"}),
+                          ("+0.1", WF_DUAL | {"green-bound"}),
+                          ("x1.01", WF_DUAL | {"green-bound"}),
+                          ("zero", WF_DUAL)]],
+    ("perturbed-g", "gauss-seidel", "none", set()),
+    ("perturbed-g", "gauss-seidel", "+1e-3", WF_DUAL),
+    ("perturbed-g", "gauss-seidel", "+0.1",
+     WF_DUAL | {"truncation-energy", "vanishing-energy"}),
+    ("perturbed-g", "ladder", "+1e-3", WF_DUAL),
+    ("perturbed-g", "ladder", "x1.01", WF_DUAL),
+]
+
+
+@pytest.fixture(scope="module")
+def power_solutions():
+    problems = {pid: fl.build_catalog_problem(pid)
+                for pid in ("lap2d", "perturbed-g")}
+    return {(pid, method): (p, fl.solve(p, method))
+            for pid, p in problems.items()
+            for method in ("gauss-seidel", "ladder")}
+
+
+@pytest.mark.parametrize("pid, method, name, fails", POWER_CASES,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in POWER_CASES])
+def test_verify_rows_power(power_solutions, pid, method, name, fails):
+    # the solver's residual rides along unchanged, so a row that trusted it
+    # would pass; on perturbed-g at +1e-3 the weak-form row once read 6.9e-11
+    # from it, and now reads 3.2e-2 from u
+    p, sol = power_solutions[pid, method]
+    bad = dataclasses.replace(sol, u=PERTURBATIONS[name](sol.u))
+    rows = fl.verify_solution(p, bad, paths=2000, seed=2)
+    assert {r.name for r in rows if not r.passed} == fails
+    # today's power: revuz reads no u, and the martingale row's allowance
+    # grows with u's own defect, so neither fails on any of these
+    assert all(r.passed for r in rows if r.name in ("revuz", "martingale"))

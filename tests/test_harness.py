@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,60 @@ def test_cli_usage_error_exit_2(tmp_path):
     desc.write_text(json.dumps({"family": "frac", "n": 16, "alpha": 3.0}))
     assert main(["solve", "--problem", str(desc), "--out", str(tmp_path)]) == 2
     assert main(["solve", "--out", str(tmp_path)]) == 2
+
+
+# (descriptor JSON text, or None for a path that is no file; what the error
+# must name); every case exits 2 with that name and no traceback
+HOSTILE_DESCRIPTORS = {
+    "n-string": ('{"family": "lap1d", "n": "abc"}', ": n must be"),
+    "n-infinity": ('{"family": "lap1d", "n": Infinity}', ": n must be"),
+    "n-list": ('{"family": "lap1d", "n": [3]}', ": n must be"),
+    "n-fraction": ('{"family": "lap1d", "n": 2.7}', ": n must be"),
+    "n-bool": ('{"family": "lap1d", "n": true}', ": n must be"),
+    "alpha-string": ('{"family": "frac", "n": 8, "alpha": "x"}',
+                     ": alpha must be"),
+    "g-string": ('{"family": "perturbed", "n": 8, "g": "x"}', ": g must be"),
+    "driver-c-string": ('{"family": "lap1d", "n": 8, "driver": '
+                        '{"family": "power", "c": "x"}}', ": c must be"),
+    "atom-x-string": ('{"family": "lap1d", "n": 8, "measure": '
+                      '[{"x": "a", "mass": 1.0}]}', ": atom x must be"),
+    "atom-not-object": ('{"family": "lap1d", "n": 8, "measure": [3]}',
+                        ": measure atom must be"),
+    "atom-x-2d-on-1d": ('{"family": "lap1d", "n": 8, "measure": '
+                        '[{"x": [0.5, 0.5], "mass": 1.0}]}', ": atom x [0.5"),
+    "coeff-string": ('{"family": "lap1d", "n": 8, "coeff": "x"}',
+                     ": coeff must be"),
+    "interval-reversed": ('{"family": "diag", "n": 8, "interval": [1, 0]}',
+                          ": interval must be"),
+    "top-level-list": ('[{"family": "lap1d", "n": 8}]',
+                       "must be a JSON object"),
+    "frac-huge": ('{"family": "frac", "n": 100000}', "frac n = 100000"),
+    "missing-file": (None, "missing.json: cannot read"),
+    "directory": (None, "adir: cannot read"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_DESCRIPTORS))
+def test_cli_hostile_descriptor_exits_2(tmp_path, capsys, case):
+    text, name = HOSTILE_DESCRIPTORS[case]
+    path = tmp_path / ("adir" if case == "directory" else "missing.json")
+    if case == "directory":
+        path.mkdir()
+    elif text is not None:
+        path = tmp_path / "p.json"
+        path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err, err
+    # frac n = 10**5 would be an 80 GB kernel: refused before allocating
+    assert peak < 2 ** 24
 
 
 # a non-monotone driver (b > 0) that the descriptor loader accepts
