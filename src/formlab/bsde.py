@@ -12,13 +12,17 @@ each step solves the monotone system
 
 by damped Newton, with Gauss-Seidel on the form perturbed by 1/dt as the
 fallback.  The Jacobian dt L + diag(m - dt m f'(v)) is SPD when f is
-nonincreasing; it is factored by banded Cholesky from the form's cached
-band of L, once per Newton iteration, or once per solve for an affine
-driver, whose Jacobian does not depend on v.  A Newton correction that is
-already within the step tolerance, at a residual that already meets the
-residual gate, is taken whole without a line search.  The stationary point
-of a step is exactly the elliptic solution, so long horizons converge to
-it without a step-size floor.
+nonincreasing.  Each solve scales the form's cached band of L by dt once;
+each Newton iteration copies that step band into one Fortran-ordered work
+array, adds the diagonal and factors it in place by LAPACK's banded
+Cholesky (DirichletForm._factor), and solves with the factor by the
+form's banded solve.  An affine driver's Jacobian does not depend on v, so
+it is factored once per solve, into an array of its own.  A non-finite
+Jacobian diagonal or residual raises SolverError naming the step and the
+node.  A Newton correction that is already within the step tolerance, at
+a residual that already meets the residual gate, is taken whole without a
+line search.  The stationary point of a step is exactly the elliptic
+solution, so long horizons converge to it without a step-size floor.
 
 The random-horizon solution u(x) = Y_0 under P_x is built by the horizon
 ladder: at level n the data are truncated at n, the driver is regularized
@@ -33,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from numpy.linalg import LinAlgError
 
 from .drivers import Driver, truncate_data, yosida_regularize
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
-                    SignedMeasure, perturb)
+                    SignedMeasure, _band_solve, perturb)
 from .markov import (Chain, ChainPath, _lockstep, _mean_se, _path_rng,
                      default_horizon_cap)
 
@@ -68,12 +72,22 @@ class BsdeSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _step_factor(form, dt, slope):
-    """Banded Cholesky factor of the step Jacobian dt L + diag(m - dt m slope)."""
+def _sup(x) -> float:
+    """max |x|, the sup-norm of every increment, residual and correction."""
+    return float(np.abs(x).max())
+
+
+def _step_factor(form, dt, d, ab=None):
+    """Banded Cholesky factor of the step Jacobian dt L + diag(d).
+
+    ab, if given, holds dt times the band of L and receives the factor.
+    """
     try:
-        return form._factor(dt, form.m - dt * form.m * slope)
-    except sla.LinAlgError as exc:
+        return form._factor(dt, d, ab)
+    except LinAlgError as exc:
         raise SolverError(f"step Jacobian not SPD ({exc})")
+    except ValueError as exc:
+        raise SolverError(f"step Jacobian {exc}")
 
 
 def _implicit_step(form, dt, driver, rhs, v_init, jacobian, *, tol, max_iter):
@@ -94,32 +108,35 @@ def _implicit_step(form, dt, driver, rhs, v_init, jacobian, *, tol, max_iter):
 
     v = v_init.copy()
     F = residual(v)
-    norm0 = float(np.max(np.abs(F)))
+    norm0 = _sup(F)
     gate = max(1e-9 * (1 + norm0), 1e2 * tol)
     for it in range(1, max_iter + 1):
-        delta = sla.cho_solve_banded(jacobian(v), -F)
+        factor = jacobian(v)
+        try:
+            delta = _band_solve(factor, -F, "Newton residual")
+        except ValueError as exc:
+            raise SolverError(str(exc))
         if driver.constant_slope is not None:  # the Newton step is exact
             return v + delta, 1
-        norm = float(np.max(np.abs(F)))
-        if float(np.max(np.abs(delta))) <= tol * (1.0 + float(np.max(np.abs(v)))) \
-                and norm <= gate:
+        norm = _sup(F)
+        if _sup(delta) <= tol * (1.0 + _sup(v)) and norm <= gate:
             return v + delta, it
         alpha = 1.0
         for _ in range(40):
             v_new = v + alpha * delta
             F_new = residual(v_new)
-            if float(np.max(np.abs(F_new))) <= (1 - 0.25 * alpha) * norm + 1e-300:
+            if _sup(F_new) <= (1 - 0.25 * alpha) * norm + 1e-300:
                 break
             alpha *= 0.5
         v, F = v_new, F_new
-        if float(np.max(np.abs(alpha * delta))) <= tol * (1.0 + float(np.max(np.abs(v)))):
-            if float(np.max(np.abs(F))) <= gate:
+        if _sup(alpha * delta) <= tol * (1.0 + _sup(v)):
+            if _sup(F) <= gate:
                 return v, it
     from .elliptic import solve_elliptic_gauss_seidel
     sol = solve_elliptic_gauss_seidel(
         perturb(form, np.full(form.n, 1.0 / dt)), driver,
         SignedMeasure(rhs / dt), x0=v,
-        tol=tol * (1.0 + float(np.max(np.abs(v)))), max_sweeps=5000)
+        tol=tol * (1.0 + _sup(v)), max_sweeps=5000)
     return sol.u, max_iter + sol.diagnostics["sweeps"]
 
 
@@ -131,9 +148,11 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     Only the current slice is kept, so memory does not grow with the step
     count; the result holds u = v(0, .).  dt is rounded so the grid divides
     T evenly.  A grid whose steps * n node updates would exceed
-    MAX_STEP_WORK raises FormError before any step is taken.  For an affine
-    driver the step Jacobian does not depend on v; it is factored once, at
-    the first step, and shared by every step.
+    MAX_STEP_WORK raises FormError before any step is taken.  The step band
+    dt L is formed once, and each Newton iteration factors its Jacobian in
+    one reused work array.  For an affine driver the step Jacobian does not
+    depend on v; it is factored once, at the first step, into an array of
+    its own, and shared by every step.
     """
     if not (np.isfinite(T) and T >= 0):
         raise FormError(f"horizon T must be finite and nonnegative, got {T}")
@@ -152,14 +171,21 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
             f"MAX_STEP_WORK = {MAX_STEP_WORK}")
     steps = int(steps)
     dt = T / steps
+    dtm = dt * form.m
     affine_factor = None
+    if driver.constant_slope is None:
+        band = dt * form._lower_band()  # Fortran-ordered, as is work
+        work = np.empty_like(band)
 
     def jacobian(v):
         nonlocal affine_factor
         if driver.constant_slope is None:
-            return _step_factor(form, dt, np.minimum(driver.deriv(v), 0.0))
+            np.copyto(work, band)
+            slope = np.minimum(driver.deriv(v), 0.0)
+            return _step_factor(form, dt, form.m - dtm * slope, work)
         if affine_factor is None:
-            affine_factor = _step_factor(form, dt, driver.constant_slope)
+            affine_factor = _step_factor(
+                form, dt, form.m - dtm * driver.constant_slope)
         return affine_factor
 
     total_iters = 0
@@ -207,7 +233,7 @@ def _apriori_radius(form, driver, mu):
     if form.killing_free_component() is not None:
         return None
     rhs = form.m * np.abs(driver.f0()) + np.abs(mu.masses)
-    bound = float(np.max(np.abs(form.solve(rhs))))
+    bound = _sup(form.solve(rhs))
     return 2.0 * max(bound, 1e-6)
 
 
@@ -252,8 +278,8 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
     radius = yosida_radius
     if radius is None:
         radius = _apriori_radius(form, driver, mu)
-    f0_max = float(np.max(np.abs(driver.f0())))
-    mu_max = float(np.max(np.abs(mu.masses))) if mu.n else 0.0
+    f0_max = _sup(driver.f0())
+    mu_max = _sup(mu.masses) if mu.n else 0.0
     needs_grid = driver.slope_bound(radius if radius is not None else 1.0) is None
     if needs_grid and radius is None:
         raise SolverError(
@@ -264,7 +290,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
         # driver error delta_f moves the solution by at most |G(M delta_f)|,
         # so the regularization defect caps the achievable ladder tolerance
         try:
-            green_scale = float(np.max(np.abs(form.solve(form.m))))
+            green_scale = _sup(form.solve(form.m))
         except GreenOperatorUndefined:
             green_scale = 1.0
 
@@ -285,7 +311,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
         drv_n, mu_n = truncate_data(drv, mu, level)
         sol = solve_finite_horizon(form, drv_n, mu_n, np.zeros(form.n),
                                    T, T / LADDER_STEPS)
-        inc = float(np.max(np.abs(sol.u - u_prev)))
+        inc = _sup(sol.u - u_prev)
         levels.append(LadderLevel(
             level=level, horizon=T, sup_increment=inc,
             inner_iterations=sol.diagnostics.get("inner_iterations", 0),

@@ -42,6 +42,12 @@ DEFAULT_DRIVER = {"family": "power", "c": 1.0, "p": 2.0, "g": 1.0}
 #: Most entries of the dense n x n jump kernel a frac descriptor may ask for.
 MAX_DENSE_VALUES = 2 ** 26
 
+#: Most nodes a descriptor may ask for: n, or n * n for lap2d.  It is
+#: checked before anything is allocated.
+MAX_NODES = 2 ** 18
+
+_FAMILIES = ("lap1d", "lap2d", "divform", "frac", "diag", "perturbed")
+
 #: Stable catalog ids.  diag-5.7 is the degenerate multiplication form with
 #: c(x) = |x|, whose exact solution for mu = m is u(x) = 1/|x|.
 CATALOG = {
@@ -326,6 +332,13 @@ def build_catalog_problem(descriptor) -> Problem:
         raise DescriptorError(f"unknown descriptor keys {sorted(unknown)}")
     family = desc.get("family")
     n = _integer(desc.get("n", 64), "n", 2)
+    if family not in _FAMILIES:
+        raise DescriptorError(f"unknown catalog family {family!r}")
+    nodes = n * n if family == "lap2d" else n
+    if nodes > MAX_NODES:
+        raise DescriptorError(
+            f"{family} n = {n} asks for {nodes} nodes, over "
+            f"MAX_NODES = {MAX_NODES}")
 
     if family == "lap1d":
         form = build_grid_1d(n, coeff=desc.get("coeff"),
@@ -341,11 +354,9 @@ def build_catalog_problem(descriptor) -> Problem:
                           interval=desc.get("interval", (-1.0, 1.0)))
     elif family == "diag":
         form = build_diag(n, interval=desc.get("interval", (-1.0, 1.0)))
-    elif family == "perturbed":
+    else:
         form = build_perturbed(n, g=_reals(desc.get("g", 1.0), "g"),
                                coeff=desc.get("coeff"))
-    else:
-        raise DescriptorError(f"unknown catalog family {family!r}")
 
     driver = make_driver(desc.get("driver", {"family": "zero"}), form.n)
     mu = _resolve_measure(desc.get("measure"), form.space)

@@ -18,8 +18,10 @@ Every factorization and eigensolve of L reads one cached, read-only lower
 band of L, whose bandwidth is read from L's nonzeros (1 on a path, the side
 on a grid, n - 1 for a dense kernel).  Solves with c*L + diag(d) (the Green
 operator, the ladder's implicit steps and the alpha > 0 potentials) factor
-it by banded Cholesky; the lowest eigenvalue of a diagonally scaled L is
-taken from the scaled band by the banded symmetric eigensolver.
+it by banded Cholesky, calling LAPACK's dpbtrf and dpbtrs directly
+(DirichletForm._factor and _band_solve); the lowest eigenvalue of a
+diagonally scaled L is taken from the scaled band by the banded symmetric
+eigensolver.
 
 Every node-level equation in this package is written in the shared assembly
 convention  (Lu)(x) = m_x f(x, u_x) + mu({x}).
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf as _dpbtrf, dpbtrs as _dpbtrs
 
 
 class FormError(ValueError):
@@ -212,26 +215,49 @@ class DirichletForm:
         """L in LAPACK lower band storage: band[i - j, j] = L[i, j], i >= j.
 
         The bandwidth is read from the nonzeros of L: 1 on a path, the side
-        on a row-major grid, n - 1 for a dense kernel.
+        on a row-major grid, n - 1 for a dense kernel.  Its entries are
+        finite, since W and k are checked finite when the form is built.
         """
         if self._band is None:
             coo = self.L.tocoo()
             keep = (coo.row >= coo.col) & (coo.data != 0.0)
             rows, cols = coo.row[keep], coo.col[keep]
-            band = np.zeros((int(np.max(rows - cols, initial=0)) + 1, self.n))
+            # Fortran order, as LAPACK reads it, so c * band needs no copy
+            band = np.zeros((int(np.max(rows - cols, initial=0)) + 1, self.n),
+                            order="F")
             band[rows - cols, cols] = coo.data[keep]
             band.flags.writeable = False
             self._band = band
         return self._band
 
-    def _factor(self, c: float, d: np.ndarray):
-        """Banded Cholesky factor of c*L + diag(d), for cho_solve_banded.
+    def _factor(self, c: float, d, ab: np.ndarray | None = None):
+        """Banded Cholesky factor of c*L + diag(d), as (cb, True) for _band_solve.
 
-        Raises LinAlgError when the matrix is not positive definite.
+        c*L + diag(d) is formed in a Fortran-ordered array and factored in
+        place by LAPACK dpbtrf, so no hidden copy is made.  A caller that
+        factors many matrices with one c passes ab, a Fortran-ordered array
+        that already holds c times the band of L; it is overwritten by the
+        factor.  Only the diagonal row is checked finite: it holds c*L_jj +
+        d_j, and every other entry of column j is bounded in magnitude by
+        c*L_jj, since L is diagonally dominant.  A non-finite diagonal
+        raises ValueError naming its first node; a matrix that is not
+        positive definite raises LinAlgError.
         """
-        ab = c * self._lower_band()
-        ab[0] += d
-        return sla.cholesky_banded(ab, overwrite_ab=True, lower=True), True
+        if ab is None:
+            ab = c * self._lower_band()
+        diag = ab[0]
+        diag += d
+        if not np.isfinite(diag).all():
+            node = _first_nonfinite(diag)
+            raise ValueError(
+                f"diagonal is not finite at node {node} ({diag[node]})")
+        cb, info = _dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise sla.LinAlgError(
+                f"{info}-th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+        return cb, True
 
     def solve(self, rhs: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """Solve (L + alpha*M) u = rhs; alpha = 0 needs a transient form.
@@ -249,8 +275,8 @@ class DirichletForm:
                 green = self._factor(1.0, 0.0)
                 green[0].flags.writeable = False
                 self._green = green
-            return sla.cho_solve_banded(self._green, rhs)
-        return sla.cho_solve_banded(self._factor(1.0, alpha * self.m), rhs)
+            return _band_solve(self._green, rhs)
+        return _band_solve(self._factor(1.0, alpha * self.m), rhs)
 
     def spectral_gap(self) -> float:
         """Smallest eigenvalue of the symmetrized Laplacian M^-1/2 L M^-1/2.
@@ -311,6 +337,37 @@ class DirichletForm:
             if float(np.sum(self._k[list(comp)])) <= 0.0:
                 return comp
         return None
+
+
+def _band_solve(factor, rhs, name: str = "right-hand side") -> np.ndarray:
+    """Solve with a banded Cholesky factor (cb, lower) by LAPACK dpbtrs.
+
+    rhs is one right-hand side or one per column.  It is checked as
+    scipy's cho_solve_banded checks it: its first axis must match the
+    factor, and a non-finite entry raises ValueError, here naming rhs by
+    name and the first node (row) that holds one.  The factor is not
+    checked again: DirichletForm._factor returns one only from a finite
+    matrix, and its entries are bounded by the square roots of the
+    matrix's diagonal.
+    """
+    cb, lower = factor
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != cb.shape[-1]:
+        raise ValueError(
+            f"right-hand side of shape {rhs.shape} does not fit a factor "
+            f"of {cb.shape[-1]} nodes")
+    if not np.isfinite(rhs).all():
+        node = _first_nonfinite(rhs)
+        raise ValueError(f"{name} is not finite at node {node} ({rhs[node]})")
+    x, info = _dpbtrs(cb, rhs, lower=lower)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+    return x
+
+
+def _first_nonfinite(a: np.ndarray) -> int:
+    """The first row of a that holds a non-finite entry."""
+    return int(np.argwhere(~np.isfinite(a))[0, 0])
 
 
 def build_form(space: StateSpace, W, k) -> DirichletForm:

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import formlab as fl
 from formlab.bsde import SolverError, _checkpoint_values
@@ -108,13 +107,13 @@ def test_affine_solve_factors_step_jacobian_once(monkeypatch):
     mu = random_measure(rng, form.n)
     steps, dt = 16, 0.125
     calls = []
-    factor = sla.cholesky_banded
+    factor = fl.DirichletForm._factor
 
     def counted(*args, **kwargs):
         calls.append(1)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(sla, "cholesky_banded", counted)
+    monkeypatch.setattr(fl.DirichletForm, "_factor", counted)
     sol = fl.solve_finite_horizon(form, drv, mu, np.zeros(form.n),
                                   steps * dt, dt)
     assert len(calls) == 1
@@ -124,6 +123,28 @@ def test_affine_solve_factors_step_jacobian_once(monkeypatch):
         v = fl.solve_finite_horizon(form, drv, mu, v, dt, dt).u
     assert np.array_equal(sol.u, v)
     assert len(calls) == 1 + steps
+
+
+def test_non_finite_step_named():
+    # f turns nan above 0.05: the central-difference slope, and with it the
+    # step Jacobian's diagonal, goes nan first
+    p = fl.build_catalog_problem(
+        {"family": "lap1d", "n": 16, "measure": [{"x": 0.5, "mass": 1.0}]})
+    drv = fl.Driver.from_callable(
+        16, lambda i, y: np.where(y > 0.05, np.nan, -y),
+        monotone=True, lipschitz=1.0)
+    with pytest.raises(SolverError, match=r"^backward step \d+ \(t = .*\): "
+                       r"step Jacobian diagonal is not finite at node \d+"):
+        fl.solve_random_horizon_ladder(p.form, drv, p.mu)
+    # f is nan at y = 0 alone, so the slopes stay finite and the first
+    # residual is what fails
+    drv = fl.Driver.from_callable(
+        16, lambda i, y: np.where(y == 0.0, np.nan, -y),
+        monotone=True, lipschitz=1.0)
+    with pytest.raises(SolverError) as err:
+        fl.solve_finite_horizon(p.form, drv, p.mu, np.zeros(16), 1.0, 0.125)
+    assert str(err.value) == ("backward step 7 (t = 0.875): Newton residual "
+                              "is not finite at node 0 (nan)")
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 import formlab as fl
 from formlab import elliptic
 from formlab.bsde import SolverError
+from formlab.forms import _band_solve
 from randomized import (random_form, random_measure,
                         random_shaped_form, random_transient_form)
 
@@ -280,6 +281,69 @@ def test_band_factor_matches_dense_cholesky(kind, n, c, seed):
         fl.solve_finite_horizon(form, fl.Driver.affine(form.n, 0.0, b),
                                 fl.SignedMeasure(np.zeros(form.n)),
                                 np.zeros(form.n), c, c)
+
+
+@given(kind=st.sampled_from(["path", "grid", "dense"]),
+       n=st.integers(2, 30), c=st.floats(0.1, 10.0),
+       columns=st.sampled_from([None, 1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_kernel_matches_scipy_wrappers(kind, n, c, columns, seed):
+    rng = np.random.default_rng(seed)
+    form = random_shaped_form(rng, kind, n)
+    d = rng.uniform(0.5, 2.0, size=form.n)
+    rhs = rng.normal(size=form.n if columns is None else (form.n, columns))
+    ab = c * form._lower_band()
+    ab[0] += d
+    ref = sla.cholesky_banded(ab, lower=True)
+    factor = form._factor(c, d)
+    assert factor[1] is True and np.array_equal(factor[0], ref)
+    x = _band_solve(factor, rhs)
+    assert x.shape == rhs.shape
+    assert np.array_equal(x, sla.cho_solve_banded((ref, True), rhs))
+    # a caller's Fortran-ordered work array holding c times the band
+    work = np.asfortranarray(c * form._lower_band())
+    assert np.array_equal(form._factor(c, d, work)[0], ref)
+    # the Green and alpha > 0 solves
+    green = sla.cholesky_banded(form._lower_band(), lower=True)
+    assert np.array_equal(form.solve(rhs),
+                          sla.cho_solve_banded((green, True), rhs))
+    shifted = form._lower_band().copy()
+    shifted[0] += 0.7 * form.m
+    assert np.array_equal(
+        form.solve(rhs, alpha=0.7),
+        sla.cho_solve_banded((sla.cholesky_banded(shifted, lower=True), True),
+                             rhs))
+    # an indefinite diagonal, a non-finite diagonal and a non-finite rhs
+    node = int(rng.integers(form.n))
+    bad = d.copy()
+    bad[node] = -c * (form.degree + form.k)[node] - 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        form._factor(c, bad)
+    bad[node] = np.nan
+    with pytest.raises(ValueError, match=f"diagonal is not finite at node {node} "):
+        form._factor(c, bad)
+    bad_rhs = rhs.copy()
+    bad_rhs[node] = np.inf
+    with pytest.raises(ValueError, match=f"not finite at node {node} "):
+        form.solve(bad_rhs)
+    with pytest.raises(ValueError, match="does not fit"):
+        form.solve(rhs[:-1])
+
+
+def test_solvers_call_lapack_directly(monkeypatch):
+    def wrapper(*args, **kwargs):
+        raise AssertionError("scipy's banded Cholesky wrapper called")
+
+    for name in ("cholesky_banded", "cho_solve_banded"):
+        monkeypatch.setattr(sla, name, wrapper)
+    p = fl.build_catalog_problem("perturbed-g")
+    assert np.all(np.isfinite(p.form.solve(p.mu.masses)))
+    sol, trace = fl.solve_random_horizon_ladder(p.form, p.driver, p.mu)
+    assert trace.converged and np.all(np.isfinite(sol.u))
+    affine = fl.Driver.affine(p.form.n, 1.0, -1.0)
+    sol = fl.solve_finite_horizon(p.form, affine, p.mu, np.zeros(p.form.n),
+                                  1.0, 0.125)
+    assert np.all(np.isfinite(sol.u))
 
 
 @pytest.mark.parametrize("pid", ["lap2d", "frac-a10"])

@@ -93,6 +93,9 @@ HOSTILE_DESCRIPTORS = {
     "top-level-list": ('[{"family": "lap1d", "n": 8}]',
                        "must be a JSON object"),
     "frac-huge": ('{"family": "frac", "n": 100000}', "frac n = 100000"),
+    "lap2d-huge": ('{"family": "lap2d", "n": 100000}', "lap2d n = 100000"),
+    "lap1d-huge": ('{"family": "lap1d", "n": 1000000000}',
+                   "lap1d n = 1000000000"),
     "missing-file": (None, "missing.json: cannot read"),
     "directory": (None, "adir: cannot read"),
 }
@@ -117,7 +120,8 @@ def test_cli_hostile_descriptor_exits_2(tmp_path, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err, err
-    # frac n = 10**5 would be an 80 GB kernel: refused before allocating
+    # frac n = 10**5 would be an 80 GB kernel and lap2d n = 10**5 a Python
+    # loop over 10**10 cells: both are refused before allocating
     assert peak < 2 ** 24
 
 
