@@ -27,9 +27,10 @@ solution, so long horizons converge to it without a step-size floor.
 The random-horizon solution u(x) = Y_0 under P_x is built by the horizon
 ladder: at level n the data are truncated at n, the driver is regularized
 at Lipschitz level n when it carries no usable Lipschitz bound, and the
-finite-horizon problem with terminal 0 is solved up to T_n = 2^n / min
-positive rate; each level reads only v(0, .).  Ladder increments contract
-super-geometrically once truncation deactivates.
+finite-horizon problem with terminal 0 is solved up to T_n = 2^n t0,
+with t0 set by the least positive rate and the spectral gap; each level
+reads only v(0, .).  Ladder increments contract super-geometrically once
+truncation deactivates.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ class SolverError(RuntimeError):
     """Nonlinear solve failed; the message names the step and node."""
 
 
-# Newton step tolerance of each implicit step, relative to 1 + max|v|.
+# Newton step tolerance of each implicit step, relative to 1 + max|v|, and
+# the Newton iterations a step takes before Gauss-Seidel finishes it.
 NEWTON_TOL = 1e-13
+MAX_NEWTON = 60
 # Yosida grid spacing as a fraction of the a priori radius.
 YOSIDA_DELTA_FRAC = 1.0 / 4096.0
 # Most node updates, steps * n, that one solve_finite_horizon call takes on.
@@ -141,14 +144,15 @@ def _implicit_step(form, dt, driver, rhs, v_init, jacobian, *, tol, max_iter):
 
 
 def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
-                         terminal, T: float, dt: float, *,
-                         max_newton: int = 60) -> BsdeSolution:
+                         terminal, T: float, dt: float) -> BsdeSolution:
     """Backward implicit-Euler integration of v from v(T, .) = terminal to t = 0.
 
     Only the current slice is kept, so memory does not grow with the step
     count; the result holds u = v(0, .).  dt is rounded so the grid divides
-    T evenly.  A grid whose steps * n node updates would exceed
-    MAX_STEP_WORK raises FormError before any step is taken.  The step band
+    T evenly.  A terminal that is not n finite values, or a grid whose
+    steps * n node updates would exceed MAX_STEP_WORK, raises FormError
+    before any step is taken.  Each step takes at most MAX_NEWTON Newton
+    iterations before the Gauss-Seidel fallback.  The step band
     dt L is formed once, and each Newton iteration factors its Jacobian in
     one reused work array.  For an affine driver the step Jacobian does not
     depend on v; it is factored once, at the first step, into an array of
@@ -158,9 +162,7 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         raise FormError(f"horizon T must be finite and nonnegative, got {T}")
     if not (np.isfinite(dt) and dt > 0):
         raise FormError(f"step dt must be positive and finite, got {dt}")
-    terminal = np.asarray(terminal, dtype=float)
-    if terminal.shape != (form.n,):
-        raise FormError(f"terminal data has shape {terminal.shape}, expected ({form.n},)")
+    terminal = _checked_u(terminal, form.n, "terminal")
     if T == 0:
         return BsdeSolution(terminal.copy(), {"steps": 0})
     steps = max(1.0, float(np.rint(T / dt)))
@@ -195,7 +197,7 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
         try:
             v, iters = _implicit_step(
                 form, dt, driver, rhs, v, jacobian,
-                tol=NEWTON_TOL, max_iter=max_newton)
+                tol=NEWTON_TOL, max_iter=MAX_NEWTON)
         except SolverError as exc:
             raise SolverError(f"backward step {j} (t = {j * dt:.6g}): {exc}")
         if not np.all(np.isfinite(v)):
@@ -214,18 +216,12 @@ class LadderLevel:
     inner_iterations: int
     truncation_active: bool
     yosida_level: int | None
-    tol_floor: float = 0.0
 
 
 @dataclass
 class LadderTrace:
     levels: list
-    converged: bool
-    achieved_tol: float = 0.0
-
-    @property
-    def final_level(self) -> int:
-        return self.levels[-1].level if self.levels else 0
+    achieved_tol: float
 
 
 def _apriori_radius(form, driver, mu):
@@ -237,15 +233,14 @@ def _apriori_radius(form, driver, mu):
     return 2.0 * max(bound, 1e-6)
 
 
-def _regularization_defect(base: Driver, reg: Driver, span: float,
-                           probes: int = 129) -> float:
-    """max of f - f_n over the working range [-span, span], all nodes.
+def _regularization_defect(base: Driver, reg: Driver, span: float) -> float:
+    """max of f - f_n on 129 points of [-span, span], at every node.
 
     Measures both the quadrature spacing error and any takeover by the
     penalty cones anchored at the grid boundary (loose grids on steep
     drivers); the ladder cannot certify accuracy below this defect.
     """
-    ys = np.linspace(-span, span, probes)
+    ys = np.linspace(-span, span, 129)
     idx = np.repeat(np.arange(base.n), ys.size)
     yy = np.tile(ys, base.n)
     gap = base.value_at(idx, yy) - reg.value_at(idx, yy)
@@ -253,28 +248,31 @@ def _regularization_defect(base: Driver, reg: Driver, span: float,
 
 
 def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
-                                mu: SignedMeasure, schedule=None, *,
+                                mu: SignedMeasure, *,
                                 yosida_radius: float | None = None):
     """Random-horizon solution via the doubling-horizon ladder.
 
     Level n truncates the data at n, regularizes the driver at Lipschitz
     level n if it has no finite local Lipschitz bound on the a priori range,
-    and integrates backward from terminal 0 over [0, T_n].  Stops when the
-    sup-norm increment between consecutive levels is at most LADDER_TOL.
+    and integrates backward from terminal 0 over [0, T_n], T_n = 2^n t0.
+    t0 is 1 / (least positive rate), raised to ln 2 / spectral gap when the
+    gap exceeds 1e-12.  Stops when the sup-norm increment between
+    consecutive levels is at most LADDER_TOL (or the regularization floor),
+    else raises SolverError after LADDER_MAX_LEVELS levels.  The regularization grid has half-width
+    yosida_radius, by default the a priori radius of a transient form; a
+    recurrent form with a driver that has no slope bound must pass it.
 
     Returns (BsdeSolution, LadderTrace).
     """
     lam = (form.degree + form.k) / form.m
     positive = lam[lam > 0]
     t0 = 1.0 / float(positive.min()) if positive.size else 1.0
-    if schedule is None:
-        # Starting below the relaxation time makes the early sup-increments
-        # grow while the solution mass fills in; the horizon origin is raised
-        # to ln2/gap so the recorded increments decrease from the first level.
-        gap = form.spectral_gap()
-        if gap > 1e-12:
-            t0 = max(t0, np.log(2.0) / gap)
-        schedule = [t0 * 2.0 ** j for j in range(1, LADDER_MAX_LEVELS + 1)]
+    # Starting below the relaxation time makes the early sup-increments
+    # grow while the solution mass fills in; the horizon origin is raised
+    # to ln2/gap so the recorded increments decrease from the first level.
+    gap = form.spectral_gap()
+    if gap > 1e-12:
+        t0 = max(t0, np.log(2.0) / gap)
     radius = yosida_radius
     if radius is None:
         radius = _apriori_radius(form, driver, mu)
@@ -296,8 +294,8 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
 
     u_prev = np.zeros(form.n)
     levels = []
-    sol = None
-    for level, T in enumerate(schedule, start=1):
+    for level in range(1, LADDER_MAX_LEVELS + 1):
+        T = t0 * 2.0 ** level
         drv = driver
         yosida_level = None
         floor = 0.0
@@ -316,16 +314,13 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
             level=level, horizon=T, sup_increment=inc,
             inner_iterations=sol.diagnostics.get("inner_iterations", 0),
             truncation_active=(f0_max > level or mu_max > level),
-            yosida_level=yosida_level, tol_floor=floor))
+            yosida_level=yosida_level))
         u_prev = sol.u
         if level >= 2 and inc <= max(LADDER_TOL, floor):
-            trace = LadderTrace(levels, converged=True,
-                                achieved_tol=max(LADDER_TOL, floor))
-            sol.diagnostics["ladder"] = trace
-            return sol, trace
+            return sol, LadderTrace(levels, achieved_tol=max(LADDER_TOL, floor))
     incs = [lv.sup_increment for lv in levels]
     raise SolverError(
-        f"horizon ladder did not stabilize within {len(schedule)} levels; "
+        f"horizon ladder did not stabilize within {LADDER_MAX_LEVELS} levels; "
         f"sup-increments: {incs} (non-transient form or unbounded solution?)")
 
 
@@ -478,15 +473,17 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
     return MartingaleReport(tuple(rows), max_z, per * start_nodes.size)
 
 
-def _checked_u(u, n: int) -> np.ndarray:
-    """u as a float vector of n finite values, or FormError naming what is wrong."""
+def _checked_u(u, n: int, name: str = "u") -> np.ndarray:
+    """u as a float vector of n finite values, or FormError naming the
+    argument (name) and what is wrong with it."""
     u = np.asarray(u, dtype=float)
     if u.shape != (n,):
-        raise FormError(f"u must be a vector of {n} values, got shape {u.shape}")
+        raise FormError(
+            f"{name} must be a vector of {n} values, got shape {u.shape}")
     bad = ~np.isfinite(u)
     if np.any(bad):
         node = int(np.argmax(bad))
-        raise FormError(f"u must be finite, got {u[node]} at node {node}")
+        raise FormError(f"{name} must be finite, got {u[node]} at node {node}")
     return u
 
 

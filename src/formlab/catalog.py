@@ -180,14 +180,16 @@ def build_grid_2d(n_side, coeff=None) -> DirichletForm:
 
     The coefficient is evaluated at the first coordinate of each face
     midpoint (the descriptor coefficients are functions of one variable).
+    Node (i, j), at (xs[i], xs[j]), has index i * n_side + j.
     """
     a_fn = _coefficient(coeff)
 
-    def a_at(x_coord):
-        val = float(np.asarray(a_fn(np.array([x_coord])))[0])
-        if val <= 0:
+    def a_at(x):
+        val = np.asarray(a_fn(x), dtype=float)
+        if np.any(val <= 0):
+            bad = int(np.argmax(val <= 0))
             raise DescriptorError(
-                f"nonpositive diffusion coefficient a({x_coord}) = {val}")
+                f"nonpositive diffusion coefficient a({x[bad]}) = {val[bad]}")
         return val
 
     xs, h = _cell_grid(0.0, 1.0, n_side)
@@ -195,37 +197,27 @@ def build_grid_2d(n_side, coeff=None) -> DirichletForm:
     ii, jj = np.meshgrid(np.arange(n_side), np.arange(n_side), indexing="ij")
     coords = np.column_stack([xs[ii.ravel()], xs[jj.ravel()]])
 
-    def node(i, j):
-        return i * n_side + j
-
-    rows, cols, vals = [], [], []
-    k = np.zeros(n)
-    for i in range(n_side):
-        for j in range(n_side):
-            p = node(i, j)
-            if i + 1 < n_side:
-                af = a_at(xs[i] + h / 2.0)
-                rows += [p, node(i + 1, j)]
-                cols += [node(i + 1, j), p]
-                vals += [af, af]
-            if j + 1 < n_side:
-                af = a_at(xs[i])
-                rows += [p, node(i, j + 1)]
-                cols += [node(i, j + 1), p]
-                vals += [af, af]
-            # one killing contribution per boundary face of the cell
-            if i == 0:
-                k[p] += a_at(0.0)
-            if i == n_side - 1:
-                k[p] += a_at(1.0)
-            if j == 0:
-                k[p] += a_at(xs[i])
-            if j == n_side - 1:
-                k[p] += a_at(xs[i])
-    W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # faces between rows i and i + 1 sit at x = xs[i] + h/2; faces between
+    # columns of row i, and the row's two side boundaries, sit at x = xs[i]
+    a_rows = a_at(xs[:-1] + h / 2.0)
+    a_cols = a_at(xs)
+    a_lo, a_hi = a_at(np.array([0.0, 1.0]))
+    node = np.arange(n).reshape(n_side, n_side)
+    src = np.concatenate([node[:-1].ravel(), node[:, :-1].ravel()])
+    dst = np.concatenate([node[1:].ravel(), node[:, 1:].ravel()])
+    w = np.concatenate([np.repeat(a_rows, n_side), np.repeat(a_cols, n_side - 1)])
+    W = sp.csr_matrix((np.concatenate([w, w]),
+                       (np.concatenate([src, dst]), np.concatenate([dst, src]))),
+                      shape=(n, n))
     W.sum_duplicates()
+    # one killing contribution per boundary face of the cell
+    k = np.zeros((n_side, n_side))
+    k[0, :] += a_lo
+    k[-1, :] += a_hi
+    k[:, 0] += a_cols
+    k[:, -1] += a_cols
     space = StateSpace(np.full(n, h * h), labels=coords)
-    return build_form(space, W, k)
+    return build_form(space, W, k.ravel())
 
 
 def build_frac(n, alpha, interval=(-1.0, 1.0)) -> DirichletForm:
@@ -248,14 +240,12 @@ def build_frac(n, alpha, interval=(-1.0, 1.0)) -> DirichletForm:
     return build_form(space, sp.csr_matrix(W), k)
 
 
-def build_diag(n, interval=(-1.0, 1.0), c_fn=None) -> DirichletForm:
-    """Degenerate multiplication form W = 0, k_i = c(x_i) m_i, c(x) = |x| by default."""
-    if c_fn is None:
-        c_fn = np.abs
+def build_diag(n, interval=(-1.0, 1.0)) -> DirichletForm:
+    """Degenerate multiplication form W = 0, k_i = c(x_i) m_i, c(x) = |x|."""
     x, h = _cell_grid(*_interval(interval), n)
-    c = np.asarray(c_fn(x), dtype=float)
-    if np.any(np.abs(c) < 1e-12):
-        bad = int(np.argmin(np.abs(c)))
+    c = np.abs(x)
+    if np.any(c < 1e-12):
+        bad = int(np.argmin(c))
         raise DescriptorError(
             f"degenerate family rejects a node where c vanishes: "
             f"c({x[bad]}) = {c[bad]} (the exact solution is unbounded there)")
@@ -321,13 +311,12 @@ def build_catalog_problem(descriptor) -> Problem:
             raise DescriptorError(
                 f"unknown catalog id {descriptor!r}; known ids: {catalog_ids()}")
         desc = dict(CATALOG[descriptor])
-        desc.setdefault("_id", descriptor)
     elif isinstance(descriptor, dict):
         desc = dict(descriptor)
     else:
         raise DescriptorError(
             f"a descriptor must be a JSON object, got {type(descriptor).__name__}")
-    unknown = set(desc) - _ALLOWED_KEYS - {"_id"}
+    unknown = set(desc) - _ALLOWED_KEYS
     if unknown:
         raise DescriptorError(f"unknown descriptor keys {sorted(unknown)}")
     family = desc.get("family")
@@ -360,11 +349,7 @@ def build_catalog_problem(descriptor) -> Problem:
 
     driver = make_driver(desc.get("driver", {"family": "zero"}), form.n)
     mu = _resolve_measure(desc.get("measure"), form.space)
-    meta = {"family": family, "n": n}
-    for key in ("alpha", "g", "coeff", "_id"):
-        if key in desc:
-            meta[key if key != "_id" else "id"] = desc[key]
-    return Problem(form=form, driver=driver, mu=mu, meta=meta)
+    return Problem(form=form, driver=driver, mu=mu)
 
 
 def load_problem(path) -> Problem:

@@ -77,9 +77,11 @@ def boundary_exponent_fit(x, u, fraction=0.1):
 
 
 def convergence_study(family: str, grid_sizes, method: str = "gauss-seidel",
-                      *, alpha: float = 1.0, atom: float = 0.5,
-                      tol: float = 1e-9) -> StudyReport:
-    """Refinement study for a catalog family; needs >= 3 increasing grids."""
+                      *, alpha: float = 1.0, tol: float = 1e-9) -> StudyReport:
+    """Refinement study for a catalog family; needs >= 3 increasing grids.
+
+    The lap1d study places its unit atom at x = 0.5.
+    """
     sizes = [int(s) for s in grid_sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise StudyError("study needs at least 3 strictly increasing grid sizes")
@@ -91,7 +93,7 @@ def convergence_study(family: str, grid_sizes, method: str = "gauss-seidel",
         if family == "lap1d":
             problem = build_catalog_problem({
                 "family": "lap1d", "n": n,
-                "measure": [{"x": atom, "mass": 1.0}],
+                "measure": [{"x": 0.5, "mass": 1.0}],
                 "driver": {"family": "zero"}})
             sol = solve(problem, method, tol=tol)
             x = problem.form.space.labels

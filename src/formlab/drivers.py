@@ -61,7 +61,7 @@ class Driver:
     """Evaluation rule f(x, y) with monotonicity and Lipschitz metadata."""
 
     def __init__(self, n, family, params, *, monotone, lipschitz=None,
-                 constant_slope=None, meta=None):
+                 constant_slope=None):
         self.n = int(n)
         self.family = family
         self.params = params
@@ -70,7 +70,6 @@ class Driver:
         # slope vector d/dy f when it does not depend on y (affine family);
         # lets the backward integrator reuse one factorization per step size.
         self.constant_slope = constant_slope
-        self.meta = dict(meta or {})
 
     # -- construction -----------------------------------------------------
 
@@ -172,8 +171,9 @@ class Driver:
         """The vector f(., 0)."""
         return self.value(np.zeros(self.n))
 
-    def deriv(self, u, eps: float = 1e-6) -> np.ndarray:
-        """d/dy f(x, y) at y = u_x; central difference for table-like families."""
+    def deriv(self, u) -> np.ndarray:
+        """d/dy f(x, y) at y = u_x; central difference, with step
+        1e-6 max(1, |u_x|), for table-like families."""
         u = np.asarray(u, dtype=float)
         p = self.params
         if self.family == "affine":
@@ -185,9 +185,9 @@ class Driver:
                 base = np.maximum(base, 1e-12)
             return -c * pw * base ** (pw - 1.0)
         if self.family == "truncated":
-            return p["base"].deriv(u, eps)
+            return p["base"].deriv(u)
         idx = np.arange(self.n)
-        h = eps * np.maximum(1.0, np.abs(u))
+        h = 1e-6 * np.maximum(1.0, np.abs(u))
         return (self.value_at(idx, u + h) - self.value_at(idx, u - h)) / (2 * h)
 
     def slope_bound(self, radius: float):
@@ -253,7 +253,7 @@ def yosida_regularize(driver: Driver, n: int, ygrid: dict) -> Driver:
     ranging over a uniform grid on [-R, R] given by ygrid = {"R": half-width,
     "delta": spacing}.  The result is exactly n-Lipschitz in y; the familiar
     lower-bound and monotone-in-n properties hold on the z-grid and hold
-    everywhere up to the quadrature defect n*delta reported in ``meta``.
+    everywhere up to the quadrature defect n*delta.
 
     The table f(x, z) is built with one vectorized call of the base driver.
     Only its per-node prefix minima of f - n z and suffix minima of f + n z
@@ -284,9 +284,7 @@ def yosida_regularize(driver: Driver, n: int, ygrid: dict) -> Driver:
     return Driver(driver.n, "yosida",
                   {"base": driver, "z": z, "pre": pre, "suf": suf, "n": lip},
                   monotone=driver.monotone,
-                  lipschitz=lip,
-                  meta={"quadrature_defect": n * delta_eff,
-                        "R": R, "delta": delta_eff, "level": int(n)})
+                  lipschitz=lip)
 
 
 def truncate_data(driver: Driver, mu: SignedMeasure, n: int):
@@ -306,8 +304,7 @@ def truncate_data(driver: Driver, mu: SignedMeasure, n: int):
         trunc_driver = Driver(
             driver.n, "truncated", {"base": driver, "shift": shift},
             monotone=driver.monotone, lipschitz=driver.lipschitz,
-            constant_slope=driver.constant_slope,
-            meta={"level": int(n)})
+            constant_slope=driver.constant_slope)
     masses = np.clip(mu.masses, -float(n), float(n))
     trunc_mu = mu if np.all(masses == mu.masses) else SignedMeasure(masses)
     return trunc_driver, trunc_mu

@@ -46,6 +46,11 @@ class UnboundedSolutionError(SolverError):
     """A node equation has no root inside the bracket bound."""
 
 
+# The node solves give up, as an unbounded solution, once a bracket end
+# passes this magnitude.
+BRACKET_BOUND = 1e12
+
+
 @dataclass
 class EllipticSolution:
     """Solution vector with the solver's own defect, ||Lu - M f(u) - mu||_inf.
@@ -90,8 +95,7 @@ def _two_coloring(W):
     return np.nonzero(color == 0)[0], np.nonzero(color == 1)[0]
 
 
-def _bisect_block(diag, scale, drv, nodes, target, guess, *, tol, width,
-                  bracket_bound):
+def _bisect_block(diag, scale, drv, nodes, target, guess, *, tol, width):
     """Vectorized roots of diag*y - scale*f(node, y) = target (increasing in y).
 
     Brackets expand geometrically from guess +- width; the roots are then
@@ -112,10 +116,10 @@ def _bisect_block(diag, scale, drv, nodes, target, guess, *, tol, width,
             break
         step[mask] *= 2.0
         lo[mask] -= step[mask]
-        if np.any(np.abs(lo) > bracket_bound):
-            bad = nodes[np.abs(lo) > bracket_bound][0]
+        if np.any(np.abs(lo) > BRACKET_BOUND):
+            bad = nodes[np.abs(lo) > BRACKET_BOUND][0]
             raise UnboundedSolutionError(
-                f"no bracket below -{bracket_bound:g} at node {bad}: "
+                f"no bracket below -{BRACKET_BOUND:g} at node {bad}: "
                 f"solution unbounded")
     step = w.copy()
     for _ in range(140):
@@ -124,10 +128,10 @@ def _bisect_block(diag, scale, drv, nodes, target, guess, *, tol, width,
             break
         step[mask] *= 2.0
         hi[mask] += step[mask]
-        if np.any(np.abs(hi) > bracket_bound):
-            bad = nodes[np.abs(hi) > bracket_bound][0]
+        if np.any(np.abs(hi) > BRACKET_BOUND):
+            bad = nodes[np.abs(hi) > BRACKET_BOUND][0]
             raise UnboundedSolutionError(
-                f"no bracket above {bracket_bound:g} at node {bad}: "
+                f"no bracket above {BRACKET_BOUND:g} at node {bad}: "
                 f"solution unbounded")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -139,8 +143,7 @@ def _bisect_block(diag, scale, drv, nodes, target, guess, *, tol, width,
     return 0.5 * (lo + hi)
 
 
-def _bisect_scalar(diag, scale, drv, x, target, guess, *, tol, width,
-                   bracket_bound):
+def _bisect_scalar(diag, scale, drv, x, target, guess, *, tol, width):
     """Scalar version of _bisect_block on pure floats (hot loop)."""
     f = drv.scalar
     w = max(width, 16 * tol)
@@ -149,17 +152,17 @@ def _bisect_scalar(diag, scale, drv, x, target, guess, *, tol, width,
     while diag * lo - scale * f(x, lo) > target:
         step *= 2.0
         lo -= step
-        if abs(lo) > bracket_bound:
+        if abs(lo) > BRACKET_BOUND:
             raise UnboundedSolutionError(
-                f"no bracket below -{bracket_bound:g} at node {x}: "
+                f"no bracket below -{BRACKET_BOUND:g} at node {x}: "
                 f"solution unbounded")
     step = w
     while diag * hi - scale * f(x, hi) < target:
         step *= 2.0
         hi += step
-        if abs(hi) > bracket_bound:
+        if abs(hi) > BRACKET_BOUND:
             raise UnboundedSolutionError(
-                f"no bracket above {bracket_bound:g} at node {x}: "
+                f"no bracket above {BRACKET_BOUND:g} at node {x}: "
                 f"solution unbounded")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -209,7 +212,6 @@ SOR_GROWTH_LIMIT = 1e3
 def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                                 mu: SignedMeasure, *, tol: float = 1e-11,
                                 max_sweeps: int = 2_000_000,
-                                bracket_bound: float = 1e12,
                                 x0=None) -> EllipticSolution:
     """Nonlinear over-relaxed Gauss-Seidel sweeps with bisection node solves.
 
@@ -227,8 +229,10 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
 
     Stops when the sup-norm sweep change is at most tol on two sweeps in a
     row and the defect is at most 10*tol; tol must be a positive finite
-    number, else FormError.  diagnostics holds the sweep count, the final
-    omega and fallback_sweep (the sweep that ended over-relaxation, or None).
+    number, else FormError.  A node equation with no root within
+    BRACKET_BOUND raises UnboundedSolutionError.  x0 is the starting iterate
+    (zeros by default).  diagnostics holds the sweep count, the final omega
+    and fallback_sweep (the sweep that ended over-relaxation, or None).
     """
     if not (tol > 0.0 and np.isfinite(tol)):
         raise FormError(f"tol must be a positive finite number, got {tol}")
@@ -278,8 +282,7 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                 else:
                     new = _bisect_block(diag_L[nodes], m[nodes], driver,
                                         nodes, target, u[nodes],
-                                        tol=node_tol, width=warm,
-                                        bracket_bound=bracket_bound)
+                                        tol=node_tol, width=warm)
                 step = omega * (new - u[nodes])
                 change = max(change, float(np.max(np.abs(step), initial=0.0)))
                 u[nodes] += step
@@ -293,8 +296,7 @@ def solve_elliptic_gauss_seidel(form: DirichletForm, driver: Driver,
                 else:
                     new = _bisect_scalar(float(diag_L[x]), float(m[x]),
                                          driver, x, target, float(u[x]),
-                                         tol=node_tol, width=warm,
-                                         bracket_bound=bracket_bound)
+                                         tol=node_tol, width=warm)
                 step = omega * (new - u[x])
                 change = max(change, abs(step))
                 u[x] += step
@@ -340,13 +342,14 @@ def solve_elliptic_ladder(form: DirichletForm, driver: Driver,
                           mu: SignedMeasure) -> EllipticSolution:
     """Elliptic solution read off the random-horizon ladder, u = v(0, .).
 
-    The ladder runs at bsde's LADDER_TOL, LADDER_STEPS and LADDER_MAX_LEVELS.
+    The ladder runs at bsde's LADDER_TOL, LADDER_STEPS and LADDER_MAX_LEVELS
+    on its gap-based horizon schedule.  diagnostics["ladder"] is the
+    LadderTrace, one LadderLevel per level.
     """
     require_monotone(driver)
     sol, trace = solve_random_horizon_ladder(form, driver, mu)
     residual = weak_form_residual(form, sol.u, driver.value(sol.u), mu)
-    return EllipticSolution(sol.u, residual, "ladder",
-                            {"ladder": trace, "levels": trace.final_level})
+    return EllipticSolution(sol.u, residual, "ladder", {"ladder": trace})
 
 
 # Monte Carlo Picard iteration: round budget, stopping tolerance relative to
@@ -359,22 +362,23 @@ MAX_CAPPED_FRACTION = 1e-4
 
 
 def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
-                      *, n_paths: int = 100_000, seed: int = 0,
-                      horizon_cap: float | None = None) -> EllipticSolution:
+                      *, n_paths: int = 100_000,
+                      seed: int = 0) -> EllipticSolution:
     """Feynman-Kac Monte Carlo solution on empirical occupation measures.
 
     n_paths is the total budget, split evenly across start nodes.  All paths
     run in one lockstep loop, each start's on its own substream
-    _path_rng(seed, x).  Paths are sampled once; the same paths are reused
-    by every damped Picard iteration (common random numbers), so the output
-    is deterministic given the seed.
-    Per-node standard errors are evaluated at the returned iterate.
+    _path_rng(seed, x), and each is cut at default_horizon_cap(chain); a
+    cut fraction above MAX_CAPPED_FRACTION raises SolverError.  Paths are
+    sampled once; the same paths are reused by every damped Picard
+    iteration (common random numbers), so the output is deterministic given
+    the seed.  Per-node standard errors are evaluated at the returned
+    iterate.
     """
     require_monotone(driver)
     _require_transient(form)
     chain = build_chain(form)
-    if horizon_cap is None:
-        horizon_cap = default_horizon_cap(chain)
+    horizon_cap = default_horizon_cap(chain)
     n = form.n
     base, extra = divmod(n_paths, n)
     counts = np.full(n, base, dtype=int)

@@ -29,7 +29,7 @@ convention  (Lu)(x) = m_x f(x, u_x) + mu({x}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -472,13 +472,11 @@ class Problem:
     """A semilinear problem: form, driver (nonlinearity) and measure.
 
     The node equations read (Lu)(x) = m_x * driver(x, u_x) + mu({x}).
-    ``meta`` records the catalog family and its parameters.
     """
 
     form: DirichletForm
     driver: object
     mu: SignedMeasure
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mu.n != self.form.n:

@@ -56,10 +56,6 @@ class ChainPath:
             return None
         return float(np.sum(self.holds))
 
-    @property
-    def elapsed(self) -> float:
-        return float(np.sum(self.holds))
-
     def __len__(self) -> int:
         return self.states.size
 

@@ -31,7 +31,6 @@ class Report:
     rows: list
     config: dict
     summary: str = ""
-    schema: str = SCHEMA_ID
     passed: bool = True
 
     def csv_text(self) -> str:
@@ -45,7 +44,7 @@ class Report:
         csv_path = os.path.join(outdir, f"{self.name}.csv")
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(self.csv_text())
-        meta = {"schema": self.schema, "summary": self.summary,
+        meta = {"schema": SCHEMA_ID, "summary": self.summary,
                 "passed": self.passed, "config": self.config}
         with open(os.path.join(outdir, f"{self.name}.json"), "w",
                   encoding="utf-8") as fh:

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import formlab as fl
-from formlab.catalog import (DescriptorError, build_diag, build_frac,
-                             build_grid_1d, frac_normalization, place_atoms)
+from formlab.catalog import (DescriptorError, _cell_grid, _coefficient,
+                             build_diag, build_frac, build_grid_1d,
+                             build_grid_2d, frac_normalization, place_atoms)
+from formlab.forms import StateSpace, build_form
 
 
 def test_grid_1d_worked_example():
@@ -30,8 +33,75 @@ def test_grid_1d_variable_coefficient_faces():
 
 
 def test_grid_rejects_nonpositive_coefficient():
+    # a(x) = 0.1 - x turns nonpositive inside the interval and the square
     with pytest.raises(DescriptorError, match="nonpositive"):
         build_grid_1d(8, coeff={"kind": "affine", "c0": 0.1, "c1": -1.0})
+    with pytest.raises(DescriptorError, match="nonpositive"):
+        build_grid_2d(8, {"kind": "affine", "c0": 0.1, "c1": -1.0})
+    with pytest.raises(DescriptorError, match="nonpositive"):
+        build_grid_2d(4, {"kind": "constant", "value": 0.0})
+
+
+def _grid_2d_loop(n_side, coeff=None):
+    """Reference lap2d builder: one a(x) call per face, cell by cell."""
+    a_fn = _coefficient(coeff)
+
+    def a_at(x_coord):
+        val = float(np.asarray(a_fn(np.array([x_coord])))[0])
+        if val <= 0:
+            raise DescriptorError(
+                f"nonpositive diffusion coefficient a({x_coord}) = {val}")
+        return val
+
+    xs, h = _cell_grid(0.0, 1.0, n_side)
+    n = n_side * n_side
+    ii, jj = np.meshgrid(np.arange(n_side), np.arange(n_side), indexing="ij")
+    coords = np.column_stack([xs[ii.ravel()], xs[jj.ravel()]])
+
+    def node(i, j):
+        return i * n_side + j
+
+    rows, cols, vals = [], [], []
+    k = np.zeros(n)
+    for i in range(n_side):
+        for j in range(n_side):
+            p = node(i, j)
+            if i + 1 < n_side:
+                af = a_at(xs[i] + h / 2.0)
+                rows += [p, node(i + 1, j)]
+                cols += [node(i + 1, j), p]
+                vals += [af, af]
+            if j + 1 < n_side:
+                af = a_at(xs[i])
+                rows += [p, node(i, j + 1)]
+                cols += [node(i, j + 1), p]
+                vals += [af, af]
+            if i == 0:
+                k[p] += a_at(0.0)
+            if i == n_side - 1:
+                k[p] += a_at(1.0)
+            if j == 0:
+                k[p] += a_at(xs[i])
+            if j == n_side - 1:
+                k[p] += a_at(xs[i])
+    W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    W.sum_duplicates()
+    space = StateSpace(np.full(n, h * h), labels=coords)
+    return build_form(space, W, k)
+
+
+@pytest.mark.parametrize("coeff", [
+    None, {"kind": "constant", "value": 2.5},
+    {"kind": "affine", "c0": 1.0, "c1": 2.0}], ids=["none", "constant", "affine"])
+@pytest.mark.parametrize("n_side", [2, 3, 5, 16])
+def test_grid_2d_matches_loop_bits(n_side, coeff):
+    new, ref = build_grid_2d(n_side, coeff), _grid_2d_loop(n_side, coeff)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(new.W, name), getattr(ref.W, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(new.k, ref.k)
+    assert np.array_equal(new.space.labels, ref.space.labels)
+    assert np.array_equal(new.m, ref.m)
 
 
 def test_frac_assembly_and_range():

@@ -198,6 +198,53 @@ def test_cli_solve_ladder_writes_diagnostics(tmp_path):
     assert len(lines) > 2
 
 
+# sha256 of solution-<id>.csv, and for the ladder of ladder-<id>.csv, from
+# `formlab solve --catalog <id> --method <method>` with default options;
+# pinned across commits: a change to these bytes must be deliberate
+SOLVE_DIGESTS = {
+    ("diag-5.7", "gauss-seidel"): (
+        "4f0968aa10ff298e9ae15bc858f9216e8457ee9aa6d698379a5288f366b7284b", None),
+    ("diag-5.7", "ladder"): (
+        "64c5309c8cc45c7775c67e6e220e04acc6ee5295645ae869632b447b0cdf3857",
+        "8dc090a8e7315bbce67e0defbf6c177650d61dd969c0746923536101999b8c44"),
+    ("divform-b", "gauss-seidel"): (
+        "d610e77107bdc91ce96deb97e21453aa54bb18ce92af37c84dc45155504b31db", None),
+    ("divform-b", "ladder"): (
+        "6e23fbf07fd51effae899e4b08a2065079819453e6929f306809bb227ffee4b4",
+        "5ebb3033e0170768b017957411e21628afeac2b932972e6978e4ede73670b37d"),
+    ("frac-a10", "gauss-seidel"): (
+        "167cee6d755d9e9c13c03c36583d95bc2e678d2256e4918c1bfe6a8670c9e737", None),
+    ("frac-a10", "ladder"): (
+        "e8c53abff3cbce2361a472eb060d28688bdb1c214fb8794fe1db85d5210e2f38",
+        "ea9983ac390a7b9325b93836961411cac539d6471ca6fd98b9e07627719ae2c5"),
+    ("lap1d-dirac", "gauss-seidel"): (
+        "4f4267a0543438fce3715fcf7e511a49681b4bc7ec7e465b082b09b9bc921e38", None),
+    ("lap1d-dirac", "ladder"): (
+        "b61f93496b5652c76c70ebc8fa7afceea7c016b07fb26ccd363a91e35e6320c2",
+        "25eeec930d7e8f08b3a4ea27613d4f5f35d568069c0fca44ac27c8f6b10067ea"),
+    ("lap2d", "gauss-seidel"): (
+        "95bfa1358e506014103f5842ab4fa92f502e3aec63e7e1c2d50ad9b0625338b8", None),
+    ("lap2d", "ladder"): (
+        "cd07bf1d99b739e557cdd0c79c27493e39d053eefe10afc8135908ea65df4918",
+        "463712ef9b9a4aa992d1771be2f6e4692e3f81fc526ee7274832461a79c775e2"),
+    ("perturbed-g", "gauss-seidel"): (
+        "05d166ac9d6c62e591fbbf3a757a6fcefb91ee90cd7003a5fdd670b95269637d", None),
+    ("perturbed-g", "ladder"): (
+        "fc6a94992cfa72ea6195babc03b04ab406da717d76a190f0b17295a651f749f4",
+        "3d7962c4135f0331c8e76c9198f9e0bfd56fb9cdf7b45e0714458bd1ca869550"),
+}
+
+
+@pytest.mark.parametrize("pid, method", sorted(SOLVE_DIGESTS))
+def test_cli_solve_pinned_bytes(tmp_path, pid, method):
+    solution, ladder = SOLVE_DIGESTS[pid, method]
+    assert main(["solve", "--catalog", pid, "--method", method,
+                 "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / f"solution-{pid}.csv") == solution
+    if ladder is not None:
+        assert _sha256(tmp_path / f"ladder-{pid}.csv") == ladder
+
+
 def test_cli_simulate_trace(tmp_path):
     assert main(["simulate", "--catalog", "perturbed-g", "--start", "2",
                  "--paths", "4", "--seed", "1", "--trace",
