@@ -10,27 +10,39 @@ each step solves the monotone system
 
     (M + dt L) v - dt M f(., v) = M v_prev + dt masses(mu)
 
-by damped Newton, with Gauss-Seidel on the form perturbed by 1/dt as the
+by chord Newton, with Gauss-Seidel on the form perturbed by 1/dt as the
 fallback.  The Jacobian dt L + diag(m - dt m f'(v)) is SPD when f is
-nonincreasing.  Each solve scales the form's cached band of L by dt once;
-each Newton iteration copies that step band into one Fortran-ordered work
-array, adds the diagonal and factors it in place by LAPACK's banded
-Cholesky (DirichletForm._factor), and solves with the factor by the
-form's banded solve.  An affine driver's Jacobian does not depend on v, so
-it is factored once per solve, into an array of its own.  A non-finite
-Jacobian diagonal or residual raises SolverError naming the step and the
-node.  A Newton correction that is already within the step tolerance, at
-a residual that already meets the residual gate, is taken whole without a
-line search.  The stationary point of a step is exactly the elliptic
-solution, so long horizons converge to it without a step-size floor.
+nonincreasing.  Each solve scales the form's cached band of L by dt once
+and holds one factor of the step Jacobian, in one Fortran-ordered work
+array, across all its steps: the first step factors it at the terminal by
+LAPACK's banded Cholesky (DirichletForm._factor), and every correction is
+a banded solve with the held factor.  A chord step is kept when it cuts
+the residual sup-norm at least fourfold, or meets the residual gate;
+otherwise the step copies the step band into the work array, adds the
+diagonal at the current iterate, refactors in place and takes a damped
+Newton step.  At a contraction rate rho <= 1/4 a correction understates
+the remaining error by a factor of about rho / (1 - rho) <= 1/3.  An
+affine driver's Jacobian does not depend on v, so its first factor
+serves every step.  A non-finite Jacobian diagonal or residual raises
+SolverError naming the step and the node.  A correction that is already
+within the step tolerance, at a residual that already meets the residual
+gate, is taken whole without a line search.  The stationary point of a
+step is exactly the elliptic solution, so long horizons converge to it
+without a step-size floor.
 
 The random-horizon solution u(x) = Y_0 under P_x is built by the horizon
 ladder: at level n the data are truncated at n, the driver is regularized
 at Lipschitz level n when it carries no usable Lipschitz bound, and the
-finite-horizon problem with terminal 0 is solved up to T_n = 2^n t0,
-with t0 set by the least positive rate and the spectral gap; each level
-reads only v(0, .).  Ladder increments contract super-geometrically once
-truncation deactivates.
+finite-horizon problem is solved up to T_n = 2^n t0, with t0 set by the
+least positive rate and the spectral gap; each level reads only v(0, .).
+The driver and the data do not depend on time, so by the flow (Markov)
+property of Y, Phi_{2T}(h) = Phi_T(Phi_T(h)), where Phi_T carries a
+terminal h over a horizon T.  A level whose data, and the data of the level
+before, are neither truncated nor regularized therefore starts from the
+level before's u_n and integrates over T_n only, half its horizon; every
+other level starts from terminal 0.  Level n + 1's increment is then
+Phi_{T_n}(u_n) - u_n, a stationarity defect of u_n.  Ladder increments
+contract super-geometrically once truncation deactivates.
 """
 
 from __future__ import annotations
@@ -80,27 +92,25 @@ def _sup(x) -> float:
     return float(np.abs(x).max())
 
 
-def _step_factor(form, dt, d, ab=None):
-    """Banded Cholesky factor of the step Jacobian dt L + diag(d).
+def _implicit_step(form, dt, driver, rhs, v_init, factor, refresh, *, tol,
+                   max_iter):
+    """Solve (M + dt L) v - dt M f(v) = rhs by chord Newton.
 
-    ab, if given, holds dt times the band of L and receives the factor.
-    """
-    try:
-        return form._factor(dt, d, ab)
-    except LinAlgError as exc:
-        raise SolverError(f"step Jacobian not SPD ({exc})")
-    except ValueError as exc:
-        raise SolverError(f"step Jacobian {exc}")
+    factor is the held banded factor of a step Jacobian, or None to factor
+    at v_init; refresh(v) factors the Jacobian at v and returns it.  Returns
+    (v, iterations, factor), the factor to hold for the next step.
 
-
-def _implicit_step(form, dt, driver, rhs, v_init, jacobian, *, tol, max_iter):
-    """Solve (M + dt L) v - dt M f(v) = rhs by damped Newton.
-
-    jacobian(v) returns the banded factor of the step Jacobian at v.
-    Affine drivers take one exact linear solve.  A Newton correction that
-    is already within tol, at a residual that already meets the gate, is
-    taken whole: no damping could improve on a residual at rounding level.
-    When Newton stalls, the step is finished by Gauss-Seidel on the form
+    The held factor serves as a chord (simplified Newton) operator: the
+    step v + delta is kept only if its residual sup-norm is finite and at
+    most max(|F|/4, gate).  Otherwise the Jacobian is refactored at the
+    current v and a Newton step is taken, damped by a line search.  The
+    rule keeps the chord's contraction rate rho at most 1/4, and a
+    correction at rate rho understates the remaining error by a factor of
+    about rho / (1 - rho), at most 1/3, so the step tolerance holds.
+    Affine drivers take one exact linear solve.  A correction that is
+    already within tol, at a residual that already meets the gate, is taken
+    whole: no damping could improve on a residual at rounding level.  When
+    Newton stalls, the step is finished by Gauss-Seidel on the form
     perturbed by 1/dt, whose node equations are the step system divided by
     dt.  The caller names the step in any SolverError raised here.
     """
@@ -111,36 +121,45 @@ def _implicit_step(form, dt, driver, rhs, v_init, jacobian, *, tol, max_iter):
 
     v = v_init.copy()
     F = residual(v)
-    norm0 = _sup(F)
-    gate = max(1e-9 * (1 + norm0), 1e2 * tol)
+    gate = max(1e-9 * (1 + _sup(F)), 1e2 * tol)
+    fresh = factor is None
+    if fresh:
+        factor = refresh(v)
     for it in range(1, max_iter + 1):
-        factor = jacobian(v)
         try:
             delta = _band_solve(factor, -F, "Newton residual")
         except ValueError as exc:
             raise SolverError(str(exc))
         if driver.constant_slope is not None:  # the Newton step is exact
-            return v + delta, 1
+            return v + delta, 1, factor
         norm = _sup(F)
         if _sup(delta) <= tol * (1.0 + _sup(v)) and norm <= gate:
-            return v + delta, it
+            return v + delta, it, factor
         alpha = 1.0
-        for _ in range(40):
-            v_new = v + alpha * delta
+        if fresh:
+            for _ in range(40):
+                v_new = v + alpha * delta
+                F_new = residual(v_new)
+                if _sup(F_new) <= (1 - 0.25 * alpha) * norm + 1e-300:
+                    break
+                alpha *= 0.5
+            fresh = False
+        else:
+            v_new = v + delta
             F_new = residual(v_new)
-            if _sup(F_new) <= (1 - 0.25 * alpha) * norm + 1e-300:
-                break
-            alpha *= 0.5
+            if not _sup(F_new) <= max(0.25 * norm, gate):  # also when nan
+                factor, fresh = refresh(v), True
+                continue
         v, F = v_new, F_new
         if _sup(alpha * delta) <= tol * (1.0 + _sup(v)):
             if _sup(F) <= gate:
-                return v, it
+                return v, it, factor
     from .elliptic import solve_elliptic_gauss_seidel
     sol = solve_elliptic_gauss_seidel(
         perturb(form, np.full(form.n, 1.0 / dt)), driver,
         SignedMeasure(rhs / dt), x0=v,
         tol=tol * (1.0 + _sup(v)), max_sweeps=5000)
-    return sol.u, max_iter + sol.diagnostics["sweeps"]
+    return sol.u, max_iter + sol.diagnostics["sweeps"], factor
 
 
 def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
@@ -152,11 +171,12 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     T evenly.  A terminal that is not n finite values, or a grid whose
     steps * n node updates would exceed MAX_STEP_WORK, raises FormError
     before any step is taken.  Each step takes at most MAX_NEWTON Newton
-    iterations before the Gauss-Seidel fallback.  The step band
-    dt L is formed once, and each Newton iteration factors its Jacobian in
-    one reused work array.  For an affine driver the step Jacobian does not
-    depend on v; it is factored once, at the first step, into an array of
-    its own, and shared by every step.
+    iterations before the Gauss-Seidel fallback.  The step band dt L is
+    formed once.  One factor of the step Jacobian is held in one work array
+    across all the steps: the first step factors it at the terminal, and a
+    step refactors it in place only when a chord step fails to cut the
+    residual fourfold (_implicit_step).  For an affine driver the Jacobian
+    does not depend on v, so the first factor serves every step.
     """
     if not (np.isfinite(T) and T >= 0):
         raise FormError(f"horizon T must be finite and nonnegative, got {T}")
@@ -174,29 +194,30 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     steps = int(steps)
     dt = T / steps
     dtm = dt * form.m
-    affine_factor = None
-    if driver.constant_slope is None:
-        band = dt * form._lower_band()  # Fortran-ordered, as is work
-        work = np.empty_like(band)
+    band = dt * form._lower_band()  # Fortran-ordered, as is work
+    work = np.empty_like(band)
 
-    def jacobian(v):
-        nonlocal affine_factor
-        if driver.constant_slope is None:
-            np.copyto(work, band)
+    def refresh(v):
+        """Factor the step Jacobian at v in place in work."""
+        np.copyto(work, band)
+        slope = driver.constant_slope
+        if slope is None:
             slope = np.minimum(driver.deriv(v), 0.0)
-            return _step_factor(form, dt, form.m - dtm * slope, work)
-        if affine_factor is None:
-            affine_factor = _step_factor(
-                form, dt, form.m - dtm * driver.constant_slope)
-        return affine_factor
+        try:
+            return form._factor(dt, form.m - dtm * slope, work)
+        except LinAlgError as exc:
+            raise SolverError(f"step Jacobian not SPD ({exc})")
+        except ValueError as exc:
+            raise SolverError(f"step Jacobian {exc}")
 
     total_iters = 0
+    factor = None
     v = terminal.copy()
     for j in range(steps - 1, -1, -1):
         rhs = form.m * v + dt * mu.masses
         try:
-            v, iters = _implicit_step(
-                form, dt, driver, rhs, v, jacobian,
+            v, iters, factor = _implicit_step(
+                form, dt, driver, rhs, v, factor, refresh,
                 tol=NEWTON_TOL, max_iter=MAX_NEWTON)
         except SolverError as exc:
             raise SolverError(f"backward step {j} (t = {j * dt:.6g}): {exc}")
@@ -254,13 +275,21 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
 
     Level n truncates the data at n, regularizes the driver at Lipschitz
     level n if it has no finite local Lipschitz bound on the a priori range,
-    and integrates backward from terminal 0 over [0, T_n], T_n = 2^n t0.
-    t0 is 1 / (least positive rate), raised to ln 2 / spectral gap when the
-    gap exceeds 1e-12.  Stops when the sup-norm increment between
-    consecutive levels is at most LADDER_TOL (or the regularization floor),
-    else raises SolverError after LADDER_MAX_LEVELS levels.  The regularization grid has half-width
-    yosida_radius, by default the a priori radius of a transient form; a
-    recurrent form with a driver that has no slope bound must pass it.
+    and integrates backward from terminal 0 over [0, T_n], T_n = 2^n t0, in
+    LADDER_STEPS steps.  t0 is 1 / (least positive rate), raised to
+    ln 2 / spectral gap when the gap exceeds 1e-12.  When truncation
+    returned the driver and the measure unchanged at this level and the one
+    before (a regularized driver never is unchanged), the level continues
+    the one before by the flow property: it starts from u_(n-1) and
+    integrates over T_n / 2 only, at the same dt T_n / LADDER_STEPS.  Its
+    increment is then Phi_{T_(n-1)}(u_(n-1)) - u_(n-1), the motion of
+    u_(n-1) over one more horizon: a stationarity defect, which is what the
+    stop rule tests.  Stops when the sup-norm increment between consecutive
+    levels is at most LADDER_TOL (or the regularization floor), else raises
+    SolverError after LADDER_MAX_LEVELS levels.  The regularization grid has
+    half-width yosida_radius, by default the a priori radius of a transient
+    form; a recurrent form with a driver that has no slope bound must pass
+    it.
 
     Returns (BsdeSolution, LadderTrace).
     """
@@ -294,6 +323,7 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
 
     u_prev = np.zeros(form.n)
     levels = []
+    plain_before = False
     for level in range(1, LADDER_MAX_LEVELS + 1):
         T = t0 * 2.0 ** level
         drv = driver
@@ -307,8 +337,14 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
             floor = green_scale * _regularization_defect(driver, drv,
                                                          radius / 2.0)
         drv_n, mu_n = truncate_data(drv, mu, level)
-        sol = solve_finite_horizon(form, drv_n, mu_n, np.zeros(form.n),
-                                   T, T / LADDER_STEPS)
+        # the data unchanged here and at the level before: by the flow
+        # property this level's value is the last u carried over T / 2
+        plain = drv_n is driver and mu_n is mu
+        flow = plain and plain_before
+        plain_before = plain
+        sol = solve_finite_horizon(
+            form, drv_n, mu_n, u_prev if flow else np.zeros(form.n),
+            T / 2.0 if flow else T, T / LADDER_STEPS)
         inc = _sup(sol.u - u_prev)
         levels.append(LadderLevel(
             level=level, horizon=T, sup_increment=inc,

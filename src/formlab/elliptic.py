@@ -561,7 +561,7 @@ def verify_solution(problem, solution: EllipticSolution, *,
     defect = weak_form_defect(form, u, f_u, mu)
     det_gate = check_tol
     wf_gate = det_gate * 10
-    energy_allow = l1_allow = 0.0
+    energy_allow = l1_allow = green_allow = 0.0
     if solution.method == "mc":
         se = solution.diagnostics["se"]
         max_se = float(np.max(se))
@@ -569,6 +569,8 @@ def verify_solution(problem, solution: EllipticSolution, *,
         det_gate = max(check_tol, 8.0 * max_se)
         energy_allow = 4.0 * float(np.sum((form.degree + form.k) * se ** 2))
         l1_allow = 4.0 * float(np.sum(form.m * slope * se))
+        # green-bound's lhs, sum m|u|, carries the error of u itself
+        green_allow = l1_allow + 4.0 * float(np.sum(form.m * se))
         row_scale = float(np.max(2 * form.degree + form.k + form.m * slope))
         wf_gate = check_tol * 10 + 4.0 * max_se * row_scale
     checks = [Check("weak-form", float(np.max(np.abs(defect))), wf_gate)]
@@ -581,7 +583,7 @@ def verify_solution(problem, solution: EllipticSolution, *,
                    *truncation_report(form, u, f_u, mu, ks,
                                       tol=check_tol + energy_allow),
                    green_bound_check(form, u, f_u, mu,
-                                     tol=check_tol + l1_allow)]
+                                     tol=check_tol + green_allow)]
 
     chain = build_chain(form)
     rv = revuz_check(chain, np.ones(form.n), mu, t=revuz_t,

@@ -340,7 +340,7 @@ def test_ladder_loose_grid_reports_honest_floor():
 
 # reference values from the brute-force envelope (a min over every grid point)
 SQRT_LADDER_LEVELS = 3
-SQRT_LADDER_INNER = 1637
+SQRT_LADDER_INNER = 1805
 SQRT_LADDER_TOL = 0.02341373425603003
 SQRT_LADDER_U = [
     0.050813063238960565, 0.09860488010667663, 0.14372544171140417,
@@ -365,6 +365,38 @@ def test_ladder_regularized_path_pinned():
     assert np.max(np.abs(sol.u - SQRT_LADDER_U)) <= 1e-12
 
 
+def _spied_ladder(monkeypatch, problem):
+    """The ladder on problem, with the (terminal, T, dt, solution) of each
+    solve_finite_horizon call it makes, one per level."""
+    calls = []
+    solve = bsde.solve_finite_horizon
+
+    def spy(form, driver, mu, terminal, T, dt):
+        sol = solve(form, driver, mu, terminal, T, dt)
+        calls.append((terminal.copy(), T, dt, sol))
+        return sol
+
+    monkeypatch.setattr(bsde, "solve_finite_horizon", spy)
+    sol, trace = fl.solve_random_horizon_ladder(
+        problem.form, problem.driver, problem.mu)
+    assert len(calls) == len(trace.levels)
+    return sol, trace, calls
+
+
+def _flow_levels(trace, calls):
+    """The levels that carried the level before's u over half their
+    horizon; every other level integrates from 0 over its whole horizon."""
+    flowed = []
+    for i, (lv, (terminal, T, dt, _)) in enumerate(zip(trace.levels, calls)):
+        assert dt == lv.horizon / bsde.LADDER_STEPS
+        if T == lv.horizon / 2:
+            assert i > 0 and np.array_equal(terminal, calls[i - 1][3].u)
+            flowed.append(lv.level)
+        else:
+            assert T == lv.horizon and not terminal.any()
+    return flowed
+
+
 def test_ladder_takes_converged_newton_steps_whole(monkeypatch):
     # once a Newton correction is within tol at a rounding-level residual,
     # no damping can pass the line search's decrease test; the step is
@@ -378,11 +410,55 @@ def test_ladder_takes_converged_newton_steps_whole(monkeypatch):
         return value(self, u)
 
     monkeypatch.setattr(fl.Driver, "value", counted)
-    sol, trace = fl.solve_random_horizon_ladder(p.form, p.driver, p.mu)
+    _, trace, solves = _spied_ladder(monkeypatch, p)
     inner = [lv.inner_iterations for lv in trace.levels]
-    assert inner == [384, 385, 385, 355, 316, 255]
-    steps = sol.diagnostics["steps"] * len(trace.levels)
+    assert inner == [639, 253, 251, 192, 128, 82]
+    steps = sum(s.diagnostics["steps"] for *_, s in solves)
     assert len(calls) <= steps + 2 * sum(inner)
+
+
+@pytest.mark.parametrize("pid", fl.catalog_ids())
+def test_ladder_factors_at_most_twice_per_level(pid, monkeypatch):
+    # the step Jacobian's factor is held across the steps of a level and
+    # refreshed only when a chord step fails to cut the residual fourfold
+    p = fl.build_catalog_problem(pid)
+    calls = []
+    factor = fl.DirichletForm._factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(fl.DirichletForm, "_factor", counted)
+    _, trace = fl.solve_random_horizon_ladder(p.form, p.driver, p.mu)
+    assert len(calls) <= 2 * len(trace.levels)
+
+
+@pytest.mark.parametrize("desc, first", [
+    # untruncated, unregularized data from level 1 on
+    ("lap2d", 2),
+    # p = 0.5 runs every level on its own Yosida envelope
+    ({"family": "lap1d", "n": 16,
+      "driver": {"family": "power", "c": 1.0, "p": 0.5, "g": 1.0},
+      "measure": [{"x": 0.5, "mass": 1.0}]}, None),
+    # a mass-3 atom is clamped at levels 1 and 2; level 3 has the whole
+    # atom but the level before did not
+    ({"family": "lap1d", "n": 16, "measure": [{"x": 0.5, "mass": 3.0}]}, 4),
+], ids=["plain", "yosida", "truncated"])
+def test_ladder_flow_levels(desc, first, monkeypatch):
+    # a level carries the level before's u over half its horizon only
+    # when both levels ran on the untruncated, unregularized data
+    _, trace, calls = _spied_ladder(monkeypatch,
+                                    fl.build_catalog_problem(desc))
+    flowed = _flow_levels(trace, calls)
+    if first is None:
+        assert flowed == []
+    else:
+        assert len(trace.levels) > first
+        assert flowed == list(range(first, len(trace.levels) + 1))
+        assert not any(lv.truncation_active
+                       for lv in trace.levels[first - 2:])
+        assert first == 2 or trace.levels[first - 3].truncation_active
 
 
 def test_l1_bound_along_truncation_levels():

@@ -205,33 +205,33 @@ SOLVE_DIGESTS = {
     ("diag-5.7", "gauss-seidel"): (
         "4f0968aa10ff298e9ae15bc858f9216e8457ee9aa6d698379a5288f366b7284b", None),
     ("diag-5.7", "ladder"): (
-        "64c5309c8cc45c7775c67e6e220e04acc6ee5295645ae869632b447b0cdf3857",
-        "8dc090a8e7315bbce67e0defbf6c177650d61dd969c0746923536101999b8c44"),
+        "136afc8d9f2944ab0a12fb46940b2d73907d0b613f8ba2cb5a00745f5a0dfcf9",
+        "8567b0eb09ad5b826563c7c12323486d7b8f173035286726cc7823ead9daebe5"),
     ("divform-b", "gauss-seidel"): (
         "d610e77107bdc91ce96deb97e21453aa54bb18ce92af37c84dc45155504b31db", None),
     ("divform-b", "ladder"): (
-        "6e23fbf07fd51effae899e4b08a2065079819453e6929f306809bb227ffee4b4",
-        "5ebb3033e0170768b017957411e21628afeac2b932972e6978e4ede73670b37d"),
+        "2641bb915036b04fd7aae06900775068e367a84a4dba23bedfacdb5ddd8c953e",
+        "34f4d4ba165b8aaae94638ce90af7ecee19505c89853ae4cd57dea4236418e64"),
     ("frac-a10", "gauss-seidel"): (
         "167cee6d755d9e9c13c03c36583d95bc2e678d2256e4918c1bfe6a8670c9e737", None),
     ("frac-a10", "ladder"): (
-        "e8c53abff3cbce2361a472eb060d28688bdb1c214fb8794fe1db85d5210e2f38",
-        "ea9983ac390a7b9325b93836961411cac539d6471ca6fd98b9e07627719ae2c5"),
+        "95da4482eb2eda1eb1fee0a5ed586510b4561d6bd3e411b80d37ae0f19a1d05a",
+        "11c7b8e20a3bb737730eece7a342fec276791784661017139ef4312dd7ac1f26"),
     ("lap1d-dirac", "gauss-seidel"): (
         "4f4267a0543438fce3715fcf7e511a49681b4bc7ec7e465b082b09b9bc921e38", None),
     ("lap1d-dirac", "ladder"): (
-        "b61f93496b5652c76c70ebc8fa7afceea7c016b07fb26ccd363a91e35e6320c2",
-        "25eeec930d7e8f08b3a4ea27613d4f5f35d568069c0fca44ac27c8f6b10067ea"),
+        "0cd2e94fe472c65aab41103919a26bcfaced3e2e48bd23d31b887264f8f17c23",
+        "7e1281407f410519a96bcf2598be1018b6d8fc066893a5f6e720d536eb00df8e"),
     ("lap2d", "gauss-seidel"): (
         "95bfa1358e506014103f5842ab4fa92f502e3aec63e7e1c2d50ad9b0625338b8", None),
     ("lap2d", "ladder"): (
-        "cd07bf1d99b739e557cdd0c79c27493e39d053eefe10afc8135908ea65df4918",
-        "463712ef9b9a4aa992d1771be2f6e4692e3f81fc526ee7274832461a79c775e2"),
+        "fccce2034f3c178911f0478d22a0a9370a1c92b4dc5a7df7bcc1a33b12699908",
+        "373a9e98aeceb87a0420c3e303329e2df3af128e1e45e6515250675b4f3bb566"),
     ("perturbed-g", "gauss-seidel"): (
         "05d166ac9d6c62e591fbbf3a757a6fcefb91ee90cd7003a5fdd670b95269637d", None),
     ("perturbed-g", "ladder"): (
         "fc6a94992cfa72ea6195babc03b04ab406da717d76a190f0b17295a651f749f4",
-        "3d7962c4135f0331c8e76c9198f9e0bfd56fb9cdf7b45e0714458bd1ca869550"),
+        "71d82c52338f70843b8e3f3fe254ca18d1df77ccb5a23d65c94f44877b0f0a2c"),
 }
 
 
@@ -306,7 +306,7 @@ def test_cli_verify_passes_and_writes(tmp_path):
 @pytest.mark.parametrize("argv, digest", [
     (["--catalog", "lap2d", "--method", "mc", "--paths", "20000",
       "--seed", "2"],
-     "037e63200434cbe34e0cecfff6bccfb9a4c1309b8fdadb3ff03cc52fdcb728cd"),
+     "cbbf7fc6ad6c738b408b22d63dd6d5c19b0bd035a5f26c160aa169111d29a834"),
     (["--catalog", "frac-a10", "--method", "gauss-seidel", "--paths", "10000",
       "--seed", "1"],
      "aaa5f730ee09d81e2f17dc018bc7748f7bb35d699c7194a35203842fc4aed6ee"),
@@ -316,6 +316,13 @@ def test_cli_verify_pinned_bytes(tmp_path, argv, digest):
     # commits: a change to these bytes must be deliberate
     assert main(["verify", *argv, "--out", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "verify.csv") == digest
+
+
+def test_cli_verify_mc_green_bound_allows_error_of_u(tmp_path):
+    # the zero driver gives l1-bound no allowance, but green-bound's lhs,
+    # sum m|u|, still carries the Monte Carlo error of u
+    assert main(["verify", "--catalog", "diag-5.7", "--method", "mc",
+                 "--paths", "20000", "--out", str(tmp_path)]) == 0
 
 
 def test_verify_solution_rows_match_cli_csv(tmp_path):
