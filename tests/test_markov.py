@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import formlab as fl
+from formlab.bsde import _checkpoint_values
 from formlab.markov import SimulationError, _occupation, _path_rng
 from randomized import (random_measure, random_shaped_form,
                         random_transient_form)
@@ -266,3 +269,58 @@ def test_revuz_random_form_within_gate():
 def test_default_horizon_cap_scales():
     chain = fl.build_chain(single_node(k=2.0))
     assert fl.default_horizon_cap(chain) == pytest.approx(20.0)
+
+
+def _engine_case(case):
+    """Chain, measure and start nodes of one pinned engine case."""
+    p = fl.build_catalog_problem(case.split("+")[0])
+    form, mu = p.form, p.mu
+    n = form.n
+    starts = np.linspace(0, n - 1, 4).astype(np.int64)
+    if case.endswith("+isolated"):  # one more node that neither jumps nor dies
+        W = np.zeros((n + 1, n + 1))
+        W[:n, :n] = form.W.toarray()
+        form = fl.build_form(fl.StateSpace(np.append(form.m, 1.0)), W,
+                             np.append(form.k, 0.0))
+        mu = fl.SignedMeasure(np.append(mu.masses, 0.5))
+        starts[-1] = n
+    return fl.build_chain(form), mu, starts
+
+
+# sha256 prefixes of the engine's raw outputs: every hold, jump and
+# checkpoint value of these paths is pinned bit for bit
+ENGINE_DIGESTS = {
+    "lap1d-dirac": ("e885b03985e7ab08", 25, "9a3c91de577f9881",
+                    "-0x1.52a4fe6602d9dp+0", "0x1.481c505ea9c32p-5"),
+    "lap2d": ("ef2818373c46eeef", 27, "1e5ddd91a12dffc4",
+              "0x1.7b0c24109f87dp-1", "0x1.0c9829ac0daf0p-4"),
+    "frac-a10": ("c729c0fa1bd4482a", 23, "941e7a47ff7a5b45",
+                 "0x1.a0a443075b1d2p-2", "0x1.a845c251aaa5fp-6"),
+    "lap1d-dirac+isolated": ("2249681d53d57fbc", 2013, "5c528b57b5a91425",
+                             "0x1.70de78e5b384cp-2", "0x1.f537286d8332ep-8"),
+}
+
+
+@pytest.mark.parametrize("case", ["lap1d-dirac", "lap2d", "frac-a10",
+                                  "lap1d-dirac+isolated"])
+def test_engine_outputs_pinned_bytes(case):
+    chain, mu, starts = _engine_case(case)
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=chain.n)
+    c = rng.normal(size=chain.n)
+    scale = fl.default_horizon_cap(chain) / 40.0
+    cps = scale * np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+    horizon = float(cps[-1]) * (1.0 + 1e-9)
+
+    def blocks():
+        return [(np.full(600, x, dtype=np.int64), _path_rng(9, r))
+                for r, x in enumerate(starts)]
+
+    occ, capped = _occupation(chain, blocks(), horizon)
+    vals = _checkpoint_values(chain, blocks(), horizon, u, c, cps)
+    rev = fl.revuz_check(chain, c, mu, t=scale, N=2400, seed=9)
+    assert capped > 0  # the horizon cuts some paths
+    got = (hashlib.sha256(occ.tobytes()).hexdigest()[:16], capped,
+           hashlib.sha256(vals.tobytes()).hexdigest()[:16],
+           rev.estimate.hex(), rev.se.hex())
+    assert got == ENGINE_DIGESTS[case]
