@@ -53,8 +53,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .drivers import Driver, truncate_data, yosida_regularize
-from .forms import (DirichletForm, FormError, GreenOperatorUndefined,
-                    SignedMeasure, _band_solve, perturb)
+from .forms import (MAX_DENSE_VALUES, DirichletForm, FormError,
+                    GreenOperatorUndefined, SignedMeasure, _band_solve, perturb)
 from .markov import (Chain, ChainPath, _lockstep, _mean_se, _path_rng,
                      default_horizon_cap)
 
@@ -397,48 +397,55 @@ def _checkpoint_values(chain: Chain, blocks, horizon: float, u, c, cps):
     the rows of each block equal those of a call on that block alone.  M
     freezes at the lifetime, after the final jump of u to 0.  Holding
     windows [t_entry, t_entry + hold) are contiguous, so a checkpoint before
-    a path's end falls in exactly one of them; the checkpoints at or after
-    a killing time take the frozen value.  cps must be strictly increasing
-    and the horizon must lie beyond its last entry.  Returns a
-    (total paths, cps.size) array, its rows in block order.
+    a path's end falls in exactly one of them; each path keeps a counter of
+    its next checkpoint not yet written, and the checkpoints it never reaches
+    (those at or after a killing time) take the frozen value.  cps must be
+    strictly increasing and the horizon must lie beyond its last entry.
+    Returns a (total paths, cps.size) array, its rows in block order.
     """
     size = sum(np.size(s) for s, _ in blocks)
     vals = np.zeros((size, cps.size))
     m = np.zeros(size)
-    lifetime = np.full(size, np.inf)
+    k = np.zeros(size, dtype=np.int64)
+    due = np.full(size, cps[0])
+    cps_inf = np.append(cps, np.inf)
+    u0 = np.append(u, 0.0)
     for step in _lockstep(chain, blocks, horizon):
-        _record_step(step, vals, m, lifetime, u, c, cps)
+        _record_step(step, vals, m, k, due, u0, c, cps_inf)
         del step  # free its arrays before the engine builds the next Step
-    np.copyto(vals, m[:, None], where=cps >= lifetime[:, None])
+    np.copyto(vals, m[:, None], where=np.arange(cps.size) >= k[:, None])
     return vals
 
 
-def _record_step(step, vals, m, lifetime, u, c, cps):
+def _record_step(step, vals, m, k, due, u0, c, cps_inf):
     """Write the checkpoints inside this Step's windows, then take its jumps.
 
-    The checkpoints k with t_entry <= cps[k] < t_entry + hold run from
-    cps.searchsorted(t_entry) to cps.searchsorted(t_entry + hold); each
-    pass writes the next one for every path r whose window holds one more.
+    Path p's next checkpoint is k[p], due at cps_inf[k[p]] (+inf once all
+    are written).  Each pass writes it for every path r of the Step with
+    due[r] < t_entry + hold, then moves k and due on by one.  A jump adds
+    c(x) hold + (u0[outcome] - u0[x]) to M in one gather and one scatter;
+    u0 is u with u0[-1] = 0 appended, the value at the cemetery, so a
+    killed path's M ends at its frozen value.
     """
-    k = cps.searchsorted(step.t_entry)
-    end = cps.searchsorted(step.t_entry + step.hold)
-    r = np.nonzero(k < end)[0]
+    idx = step.idx
+    end = step.t_entry + step.hold
+    r = np.nonzero(due[idx] < end)[0]
     while r.size:
-        kr = k[r]
-        rows = step.idx[r]
-        vals[rows, kr] = m[rows] + c[step.state[r]] * (cps[kr] - step.t_entry[r])
-        k[r] += 1
-        r = r[kr + 1 < end[r]]
-    del k, end, r
+        rows = idx[r]
+        kr = k[rows]
+        vals[rows, kr] = m[rows] + c[step.state[r]] * (
+            cps_inf[kr] - step.t_entry[r])
+        kr += 1
+        k[rows] = kr
+        due[rows] = cps_inf[kr]
+        r = r[due[rows] < end[r]]
+    del end, r
     jumps = ~step.capped
-    jidx, js, out = step.idx[jumps], step.state[jumps], step.outcome
-    hold = step.hold[jumps]
-    m[jidx] += c[js] * hold
-    killed = out == -1
-    moved = ~killed
-    m[jidx[killed]] -= u[js[killed]]
-    m[jidx[moved]] += u[out[moved]] - u[js[moved]]
-    lifetime[jidx[killed]] = step.t_entry[jumps][killed] + hold[killed]
+    jidx, js = idx[jumps], step.state[jumps]
+    mj = m[jidx]
+    mj += c[js] * step.hold[jumps]
+    mj += u0[step.outcome] - u0[js]
+    m[jidx] = mj
 
 
 @dataclass(frozen=True)
@@ -469,8 +476,9 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
 
     u must be n finite values, start_nodes a non-empty sequence of integer
     nodes in [0, n), N an int of at least 2 paths per start, and checkpoints
-    finite, positive and strictly increasing; otherwise FormError names the
-    argument before any path is drawn.
+    finite, positive and strictly increasing, and N times the number of
+    checkpoints (with 0) at most MAX_DENSE_VALUES, the values recorded;
+    otherwise FormError names the argument before any path is drawn.
     """
     form = chain.form
     u = _checked_u(u, chain.n)
@@ -487,6 +495,11 @@ def martingale_residual_check(chain: Chain, u, driver: Driver,
         scale = default_horizon_cap(chain) / 40.0  # about one relaxation time
         checkpoints = scale * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
     cps = np.concatenate([[0.0], _checked_checkpoints(checkpoints)])
+    if int(N) * cps.size > MAX_DENSE_VALUES:
+        raise FormError(
+            f"N must be at most {MAX_DENSE_VALUES // cps.size} paths at "
+            f"{cps.size} checkpoints, {MAX_DENSE_VALUES} values "
+            f"(MAX_DENSE_VALUES), got {N}")
     rho = mu.density(form.space)
     c_vec = driver.value(u) + rho
     per = N // start_nodes.size

@@ -30,7 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .drivers import Driver, DriverError, make_driver
-from .forms import DirichletForm, Problem, SignedMeasure, StateSpace, build_form, perturb
+from .forms import (MAX_DENSE_VALUES, DirichletForm, Problem, SignedMeasure,
+                    StateSpace, build_form, perturb)
 
 
 class DescriptorError(ValueError):
@@ -38,9 +39,6 @@ class DescriptorError(ValueError):
 
 
 DEFAULT_DRIVER = {"family": "power", "c": 1.0, "p": 2.0, "g": 1.0}
-
-#: Most entries of the dense n x n jump kernel a frac descriptor may ask for.
-MAX_DENSE_VALUES = 2 ** 26
 
 #: Most nodes a descriptor may ask for: n, or n * n for lap2d.  It is
 #: checked before anything is allocated.

@@ -37,7 +37,8 @@ import numpy as np
 from .bsde import (SolverError, _checked_u, martingale_residual_check,
                    solve_random_horizon_ladder)
 from .drivers import Driver, require_monotone
-from .forms import DirichletForm, FormError, SignedMeasure, _require_transient
+from .forms import (MAX_DENSE_VALUES, DirichletForm, FormError, SignedMeasure,
+                    _require_transient)
 from .markov import (_mean_se, _occupation, _path_rng, build_chain,
                      default_horizon_cap, revuz_check)
 
@@ -373,13 +374,19 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     sampled once; the same paths are reused by every damped Picard
     iteration (common random numbers), so the output is deterministic given
     the seed.  Per-node standard errors are evaluated at the returned
-    iterate.
+    iterate.  A budget whose (n_paths, n) occupation matrix would exceed
+    MAX_DENSE_VALUES raises FormError naming n_paths before any path.
     """
     require_monotone(driver)
     _require_transient(form)
+    n = form.n
+    if int(n_paths) * n > MAX_DENSE_VALUES:
+        raise FormError(
+            f"n_paths must be at most {MAX_DENSE_VALUES // n} on {n} nodes, "
+            f"an occupation matrix of MAX_DENSE_VALUES = {MAX_DENSE_VALUES} "
+            f"values, got {n_paths}")
     chain = build_chain(form)
     horizon_cap = default_horizon_cap(chain)
-    n = form.n
     base, extra = divmod(n_paths, n)
     counts = np.full(n, base, dtype=int)
     counts[:extra] += 1

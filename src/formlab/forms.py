@@ -37,6 +37,12 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf as _dpbtrf, dpbtrs as _dpbtrs
 
 
+#: Most values a dense array may hold: a frac descriptor's n x n jump
+#: kernel, or the per-path arrays a Monte Carlo path budget implies.  Each
+#: is checked before anything is allocated.
+MAX_DENSE_VALUES = 2 ** 26
+
+
 class FormError(ValueError):
     """Form data violates an invariant (shape, sign or symmetry)."""
 

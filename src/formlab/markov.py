@@ -20,6 +20,21 @@ Two sampling layers:
     start node), revuz_check, and the martingale residual check's
     checkpoint recorder in bsde (also one block per start node).  With a
     single start it walks the same path as sample_path on the same stream.
+
+The engine's cost is a few vector passes per iteration over the alive
+paths, so each pass it saves is saved on every path step.  Chain keeps
+flat views of its (n, width) alias tables, each state's row offset
+x * width, its outcome count as a float and its last slot, so a batch
+draw is one 1-D gather per table; it records once whether some state has
+zero rate, and only such a chain pays for the guarded holding-time divide.
+A path that jumps was not cut, so its next clock is the end t + hold the
+engine formed for the capped test.  The consumers index flat too: the
+occupation solver adds at idx * n + state, and the checkpoint recorder
+keeps a next-checkpoint counter per path in place of searching the
+checkpoints, and reads u0, u with u0[-1] = 0 appended for the cemetery
+(outcome -1), so a killing updates M by the same gather and scatter as a
+move.  None of this changes a draw or a rounding: the outputs are bit for
+bit those of plain 2-D indexing, per-step searches and separate updates.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DirichletForm, FormError, SignedMeasure
+from .forms import MAX_DENSE_VALUES, DirichletForm, FormError, SignedMeasure
 
 
 class SimulationError(RuntimeError):
@@ -68,6 +83,9 @@ class Chain:
         m = form.m
         self.lam = (form.degree + form.k) / m
         self.kappa = form.k / m
+        # a state with no rate holds forever; _lockstep's guarded divide and
+        # inf fill are needed only on chains that have one
+        self.has_zero_rate = not bool(np.all(self.lam > 0.0))
         self._build_alias()
 
     @property
@@ -120,14 +138,30 @@ class Chain:
                 self.alias_out[x, :K] = outcome_rows[x]
                 self.alias_thresh[x, :K] = thresh_rows[x]
                 self.alias_alias[x, :K] = alias_rows[x]
+        # draw_next's flat views: row x of a table starts at x * width
+        self._flat_out = self.alias_out.ravel()
+        self._flat_thresh = self.alias_thresh.ravel()
+        self._flat_alias = self.alias_alias.ravel()
+        self._row_start = np.arange(n, dtype=np.int64) * width
+        self._count_f = counts.astype(float)
+        self._last_slot = np.maximum(counts - 1, 0)
 
     def draw_next(self, states, r1, r2):
-        """Vectorized next-outcome draw; -1 means the cemetery."""
-        counts = self.alias_count[states]
-        j = np.minimum((r1 * counts).astype(np.int64), np.maximum(counts - 1, 0))
-        accept = r2 < self.alias_thresh[states, j]
-        slot = np.where(accept, j, self.alias_alias[states, j])
-        return self.alias_out[states, slot]
+        """Vectorized next-outcome draw; -1 means the cemetery.
+
+        Slot j = min(int(r1 * K_x), K_x - 1) is kept when r2 < thresh[x, j]
+        and replaced by alias[x, j] otherwise, as in draw_next_scalar.  The
+        tables are read through flat views at x * width + slot, with K_x as
+        a float and K_x - 1 precomputed, so each table costs one 1-D gather.
+        """
+        row = self._row_start[states]
+        j = (r1 * self._count_f[states]).astype(np.int64)
+        np.minimum(j, self._last_slot[states], out=j)
+        j += row
+        slot = self._flat_alias[j]
+        slot += row
+        np.copyto(slot, j, where=r2 < self._flat_thresh[j])
+        return self._flat_out[slot]
 
     def draw_next_scalar(self, x: int, r1: float, r2: float) -> int:
         K = int(self.alias_count[x])
@@ -293,8 +327,15 @@ def _lockstep(chain: Chain, blocks, horizon: float):
     it.  Every iteration, each block with alive paths draws
     standard_exponential(its alive) from its own rng, then random(its
     jumps) twice when some jump: the calls it would make alone, so its
-    paths do not depend on the other blocks.  An iteration's arrays are
-    freed before the next one allocates.
+    paths do not depend on the other blocks.  Holds are exponentials over
+    the states' rates; only a chain with a zero-rate state divides under a
+    `where` and fills inf.  A path is capped when end = t + hold reaches
+    the horizon; the others jump, all their outcomes drawn by one
+    chain.draw_next call per iteration with jumps.  A block's share of the
+    jumps is its share of the paths less its capped ones, found by a search
+    over the (few) capped positions.  A jumping path's hold is not cut, so
+    its next clock is its end exactly.  An iteration's arrays are freed
+    before the next one allocates.
     """
     _check_horizon(horizon)
     rngs = [rng for _, rng in blocks]
@@ -310,17 +351,21 @@ def _lockstep(chain: Chain, blocks, horizon: float):
             if a < z:
                 rng.standard_exponential(out=hold[a:z])
         lam = chain.lam[state]
-        positive = lam > 0.0
-        np.divide(hold, lam, out=hold, where=positive)
-        hold[~positive] = np.inf
-        del lam, positive
-        capped = t + hold >= horizon
+        if chain.has_zero_rate:
+            positive = lam > 0.0
+            np.divide(hold, lam, out=hold, where=positive)
+            hold[~positive] = np.inf
+            del positive
+        else:
+            hold /= lam
+        del lam
+        end = t + hold
+        capped = end >= horizon
         jumps = ~capped
         outcome = np.empty(0, dtype=np.int64)
-        before = np.zeros(idx.size + 1, dtype=np.int64)  # jumps before i
-        np.cumsum(jumps, out=before[1:])
-        cut = before[cut].tolist()
-        del before
+        # jumps before position i: i less the (few) capped paths before it
+        cut = [a - b for a, b in zip(
+            cut, np.flatnonzero(capped).searchsorted(cut).tolist())]
         if cut[-1]:
             r = np.empty((2, cut[-1]))
             for rng, a, z in zip(rngs, cut, cut[1:]):
@@ -331,12 +376,12 @@ def _lockstep(chain: Chain, blocks, horizon: float):
             del r
         np.subtract(horizon, t, out=hold, where=capped)
         yield Step(idx, state, t, hold, capped, outcome)
-        # a path goes on when it jumped to a state, not to the cemetery; the
-        # capped entries of hold were cut, so t + hold is redone on jumps only
+        # a path goes on when it jumped to a state, not to the cemetery; a
+        # jumping path's hold was not cut, so its next clock is its end
         live = outcome != -1
         jumps[jumps] = live
-        idx, state, t = idx[jumps], outcome[live], t[jumps] + hold[jumps]
-        del hold, capped, jumps, outcome, live
+        idx, state, t = idx[jumps], outcome[live], end[jumps]
+        del hold, end, capped, jumps, outcome, live
 
 
 def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
@@ -357,13 +402,18 @@ def _occupation(chain: Chain, blocks, horizon: float):
     """Time each path spends in each state, and the number of capped paths.
 
     Returns a (total paths, n) occupation matrix, its rows in block order,
-    and an int.  A path appears once per Step, so the indices of each
+    and an int.  Each Step adds its holds to the raveled matrix at
+    idx * n + state; a path appears once per Step, so the indices of each
     update are distinct.
     """
-    occ = _mapped_zeros(sum(np.size(s) for s, _ in blocks), chain.n)
+    n = chain.n
+    occ = _mapped_zeros(sum(np.size(s) for s, _ in blocks), n)
+    flat = occ.reshape(-1)
     capped = 0
     for step in _lockstep(chain, blocks, horizon):
-        occ[step.idx, step.state] += step.hold
+        at = step.idx * n
+        at += step.state
+        flat[at] += step.hold
         capped += int(np.count_nonzero(step.capped))
         del step  # free its arrays before the engine builds the next Step
     return occ, capped
@@ -394,12 +444,16 @@ def revuz_check(chain: Chain, f, mu: SignedMeasure, t: float, N: int,
 
     Paths start from the reference measure normalized to a probability law
     and the estimate is rescaled by its total mass.  The bias bound is
-    t * max(lambda) * sup|f| * |mu|(E).
+    t * max(lambda) * sup|f| * |mu|(E).  N over MAX_DENSE_VALUES raises
+    FormError before any path is drawn.
     """
     if t <= 0:
         raise FormError(f"time window must be positive, got {t}")
     if N < 2:
         raise FormError(f"revuz check needs N >= 2, got {N}")
+    if N > MAX_DENSE_VALUES:
+        raise FormError(f"revuz check needs N <= MAX_DENSE_VALUES = "
+                        f"{MAX_DENSE_VALUES}, got {N}")
     f = np.asarray(f, dtype=float)
     form = chain.form
     rho = mu.density(form.space)

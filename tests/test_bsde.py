@@ -668,6 +668,7 @@ def hostile_setup():
     ({"start_nodes": [[0, 1]]}, "start_nodes"),
     ({"N": 1}, "N"), ({"N": 0}, "N"), ({"N": -5}, "N"), ({"N": 2.5}, "N"),
     ({"N": 3, "start_nodes": [0, 1]}, "N"),
+    ({"N": 10 ** 8}, "N"),
     ({"checkpoints": [2.0, 1.0]}, "checkpoints"),
     ({"checkpoints": [1.0, 1.0]}, "checkpoints"),
     ({"checkpoints": []}, "checkpoints"),

@@ -288,6 +288,26 @@ def test_cli_simulate_has_no_tol(tmp_path, capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "--method", "mc"], "n_paths"),
+    (["verify", "--method", "ladder"], "N"),
+], ids=["solve-mc", "verify-ladder"])
+def test_cli_huge_path_budget_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                      name):
+    # a path budget whose per-path arrays exceed MAX_DENSE_VALUES is refused
+    # by name before those arrays exist: the engine is never entered
+    def engine(*args):
+        raise AssertionError("the lockstep engine was entered")
+    monkeypatch.setattr(fl.markov, "_lockstep", engine)
+    monkeypatch.setattr(fl.bsde, "_lockstep", engine)
+    code = main([*argv, "--catalog", "lap2d", "--paths", "1000000000",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f" {name} " in err and "MAX_DENSE_VALUES" in err, err
+    assert "Traceback" not in err
+
+
 def test_cli_verify_passes_and_writes(tmp_path):
     code = main(["verify", "--catalog", "perturbed-g", "--method", "ladder",
                  "--paths", "20000", "--seed", "5", "--out", str(tmp_path)])

@@ -324,3 +324,38 @@ def test_engine_outputs_pinned_bytes(case):
            hashlib.sha256(vals.tobytes()).hexdigest()[:16],
            rev.estimate.hex(), rev.se.hex())
     assert got == ENGINE_DIGESTS[case]
+
+
+def test_draw_next_called_once_per_step_with_jumps(monkeypatch):
+    # the per-layer benchmark counts lockstep iterations and jumps at
+    # Chain.draw_next: one call per Step that has jumps, one state per jump
+    chain, mu, starts = _engine_case("lap2d")
+    horizon = fl.default_horizon_cap(chain) / 40.0
+    lockstep, draw = fl.markov._lockstep, fl.Chain.draw_next
+    drawn, jumps = [], []
+
+    def draw_next(self, states, r1, r2):
+        drawn.append(states.size)
+        return draw(self, states, r1, r2)
+
+    def engine(*args):
+        for step in lockstep(*args):
+            assert step.outcome.size == np.count_nonzero(~step.capped)
+            jumps.append(step.outcome.size)
+            yield step
+
+    monkeypatch.setattr(fl.Chain, "draw_next", draw_next)
+    monkeypatch.setattr(fl.markov, "_lockstep", engine)
+    monkeypatch.setattr(fl.bsde, "_lockstep", engine)
+
+    def blocks():
+        return [(np.full(300, x, dtype=np.int64), _path_rng(4, r))
+                for r, x in enumerate(starts)]
+
+    _, capped = _occupation(chain, blocks(), horizon)
+    u = np.zeros(chain.n)
+    cps = np.linspace(0.0, horizon / 2.0, 5)
+    _checkpoint_values(chain, blocks(), horizon, u, u, cps)
+    assert capped > 0 and 0 in jumps  # a Step of capped paths only
+    assert drawn == [j for j in jumps if j]
+    assert sum(drawn) == sum(jumps)
