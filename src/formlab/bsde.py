@@ -423,9 +423,10 @@ def _record_step(step, vals, m, k, due, u0, c, cps_inf):
     Path p's next checkpoint is k[p], due at cps_inf[k[p]] (+inf once all
     are written).  Each pass writes it for every path r of the Step with
     due[r] < t_entry + hold, then moves k and due on by one.  A jump adds
-    c(x) hold + (u0[outcome] - u0[x]) to M in one gather and one scatter;
-    u0 is u with u0[-1] = 0 appended, the value at the cemetery, so a
-    killed path's M ends at its frozen value.
+    c(x) hold + (u0[outcome] - u0[x]) to M in one gather and one scatter,
+    masked only in a Step that caps some path; u0 is u with u0[-1] = 0
+    appended, the value at the cemetery, so a killed path's M ends at its
+    frozen value.
     """
     idx = step.idx
     end = step.t_entry + step.hold
@@ -440,10 +441,12 @@ def _record_step(step, vals, m, k, due, u0, c, cps_inf):
         due[rows] = cps_inf[kr]
         r = r[due[rows] < end[r]]
     del end, r
-    jumps = ~step.capped
-    jidx, js = idx[jumps], step.state[jumps]
+    jidx, js, hold = idx, step.state, step.hold
+    if step.outcome.size < idx.size:  # a capped path does not jump
+        jumps = ~step.capped
+        jidx, js, hold = jidx[jumps], js[jumps], hold[jumps]
     mj = m[jidx]
-    mj += c[js] * step.hold[jumps]
+    mj += c[js] * hold
     mj += u0[step.outcome] - u0[js]
     m[jidx] = mj
 

@@ -28,13 +28,15 @@ x * width, its outcome count as a float and its last slot, so a batch
 draw is one 1-D gather per table; it records once whether some state has
 zero rate, and only such a chain pays for the guarded holding-time divide.
 A path that jumps was not cut, so its next clock is the end t + hold the
-engine formed for the capped test.  The consumers index flat too: the
-occupation solver adds at idx * n + state, and the checkpoint recorder
-keeps a next-checkpoint counter per path in place of searching the
-checkpoints, and reads u0, u with u0[-1] = 0 appended for the cemetery
-(outcome -1), so a killing updates M by the same gather and scatter as a
-move.  None of this changes a draw or a rounding: the outputs are bit for
-bit those of plain 2-D indexing, per-step searches and separate updates.
+engine formed for the capped test, and an iteration that caps no path
+(most of them) selects its jumping paths with no mask.  The consumers
+index flat too: the occupation solver adds at idx * n + state, and the
+checkpoint recorder keeps a next-checkpoint counter per path in place of
+searching the checkpoints, and reads u0, u with u0[-1] = 0 appended for
+the cemetery (outcome -1), so a killing updates M by the same gather and
+scatter as a move.  None of this changes a draw or a rounding: the
+outputs are bit for bit those of plain 2-D indexing, per-step searches
+and separate updates.
 """
 
 from __future__ import annotations
@@ -331,11 +333,12 @@ def _lockstep(chain: Chain, blocks, horizon: float):
     the states' rates; only a chain with a zero-rate state divides under a
     `where` and fills inf.  A path is capped when end = t + hold reaches
     the horizon; the others jump, all their outcomes drawn by one
-    chain.draw_next call per iteration with jumps.  A block's share of the
-    jumps is its share of the paths less its capped ones, found by a search
-    over the (few) capped positions.  A jumping path's hold is not cut, so
-    its next clock is its end exactly.  An iteration's arrays are freed
-    before the next one allocates.
+    chain.draw_next call per iteration with jumps.  Most iterations cap no
+    path, and then every path jumps with no mask; otherwise a block's
+    share of the jumps is its share of the paths less its capped ones,
+    found by a search over the capped positions.  A jumping path's hold is
+    not cut, so its next clock is its end exactly.  An iteration's arrays
+    are freed before the next one allocates.
     """
     _check_horizon(horizon)
     rngs = [rng for _, rng in blocks]
@@ -361,27 +364,34 @@ def _lockstep(chain: Chain, blocks, horizon: float):
         del lam
         end = t + hold
         capped = end >= horizon
-        jumps = ~capped
+        at = np.flatnonzero(capped)
+        jumps, moving = None, state
+        if at.size:  # rare: most Steps cap no path
+            jumps = ~capped
+            moving = state[jumps]
+            # jumps before position i: i less the capped paths before it
+            cut = [a - b for a, b in zip(cut, at.searchsorted(cut).tolist())]
+            np.subtract(horizon, t, out=hold, where=capped)
         outcome = np.empty(0, dtype=np.int64)
-        # jumps before position i: i less the (few) capped paths before it
-        cut = [a - b for a, b in zip(
-            cut, np.flatnonzero(capped).searchsorted(cut).tolist())]
         if cut[-1]:
             r = np.empty((2, cut[-1]))
             for rng, a, z in zip(rngs, cut, cut[1:]):
                 if a < z:
                     rng.random(out=r[0, a:z])
                     rng.random(out=r[1, a:z])
-            outcome = chain.draw_next(state[jumps], r[0], r[1])
+            outcome = chain.draw_next(moving, r[0], r[1])
             del r
-        np.subtract(horizon, t, out=hold, where=capped)
+        del moving
         yield Step(idx, state, t, hold, capped, outcome)
         # a path goes on when it jumped to a state, not to the cemetery; a
         # jumping path's hold was not cut, so its next clock is its end
         live = outcome != -1
-        jumps[jumps] = live
-        idx, state, t = idx[jumps], outcome[live], end[jumps]
-        del hold, end, capped, jumps, outcome, live
+        keep = live
+        if jumps is not None:
+            jumps[jumps] = live
+            keep = jumps
+        idx, state, t = idx[keep], outcome[live], end[keep]
+        del hold, end, capped, jumps, outcome, live, keep
 
 
 def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
@@ -414,7 +424,7 @@ def _occupation(chain: Chain, blocks, horizon: float):
         at = step.idx * n
         at += step.state
         flat[at] += step.hold
-        capped += int(np.count_nonzero(step.capped))
+        capped += step.idx.size - step.outcome.size
         del step  # free its arrays before the engine builds the next Step
     return occ, capped
 
