@@ -329,7 +329,7 @@ def test_engine_outputs_pinned_bytes(case):
 def test_draw_next_called_once_per_step_with_jumps(monkeypatch):
     # the per-layer benchmark counts lockstep iterations and jumps at
     # Chain.draw_next: one call per Step that has jumps, one state per jump
-    chain, mu, starts = _engine_case("lap2d")
+    chain, _, starts = _engine_case("lap2d")
     horizon = fl.default_horizon_cap(chain) / 40.0
     lockstep, draw = fl.markov._lockstep, fl.Chain.draw_next
     drawn, jumps = [], []
