@@ -668,7 +668,6 @@ def hostile_setup():
     ({"start_nodes": [[0, 1]]}, "start_nodes"),
     ({"N": 1}, "N"), ({"N": 0}, "N"), ({"N": -5}, "N"), ({"N": 2.5}, "N"),
     ({"N": 3, "start_nodes": [0, 1]}, "N"),
-    ({"N": 10 ** 8}, "N"),
     ({"checkpoints": [2.0, 1.0]}, "checkpoints"),
     ({"checkpoints": [1.0, 1.0]}, "checkpoints"),
     ({"checkpoints": []}, "checkpoints"),
@@ -677,6 +676,7 @@ def hostile_setup():
     ({"checkpoints": [0.5, np.nan]}, "checkpoints"),
     ({"checkpoints": [0.5, np.inf]}, "checkpoints"),
     ({"checkpoints": "soon"}, "checkpoints"),
+    ({"N": 10 ** 8}, "N"),
 ])
 def test_hostile_martingale_arguments_named(hostile_setup, monkeypatch,
                                             kwargs, name):
