@@ -1,18 +1,15 @@
 """Finite-state Dirichlet form solvers for semilinear equations with measure data."""
 
 from .forms import (DirichletForm, FormError, GreenOperatorUndefined, Problem,
-                    SignedMeasure, StateSpace, build_form,
-                    equilibrium_potential, perturb, potential)
+                    SignedMeasure, StateSpace, build_form, perturb)
 from .drivers import Driver, DriverError, make_driver, truncate_data, yosida_regularize
 from .catalog import (CATALOG, DescriptorError, build_catalog_problem,
                       catalog_ids, load_problem)
-from .markov import (AdditiveFunctional, Chain, ChainPath, RevuzReport,
-                     SimulationError, additive_functional, build_chain,
-                     default_horizon_cap, mc_expectation, revuz_check,
-                     sample_path)
+from .markov import (Chain, ChainPath, RevuzReport, build_chain,
+                     default_horizon_cap, revuz_check, sample_path)
 from .bsde import (BsdeSolution, LadderTrace, MartingaleReport, SolverError,
-                   extract_martingale, martingale_residual_check,
-                   solve_finite_horizon, solve_random_horizon_ladder)
+                   martingale_residual_check, solve_finite_horizon,
+                   solve_random_horizon_ladder)
 from .elliptic import (METHODS, Check, EllipticSolution,
                        UnboundedSolutionError, duality_check,
                        green_bound_check, l1_bound_check, solve,

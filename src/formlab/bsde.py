@@ -55,7 +55,7 @@ from numpy.linalg import LinAlgError
 from .drivers import Driver, truncate_data, yosida_regularize
 from .forms import (MAX_DENSE_VALUES, DirichletForm, FormError,
                     GreenOperatorUndefined, SignedMeasure, _band_solve, perturb)
-from .markov import (Chain, ChainPath, _lockstep, _mean_se, _path_rng,
+from .markov import (Chain, _lockstep, _mean_se, _path_rng,
                      default_horizon_cap)
 
 
@@ -358,36 +358,6 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
     raise SolverError(
         f"horizon ladder did not stabilize within {LADDER_MAX_LEVELS} levels; "
         f"sup-increments: {incs} (non-transient form or unbounded solution?)")
-
-
-def extract_martingale(path: ChainPath, u, driver: Driver,
-                       mu: SignedMeasure, form: DirichletForm):
-    """Martingale increments along a sampled path, one path at a time.
-
-    M_t = u(X_t) - u(X_0) + int_0^t [f(X_s, u(X_s)) + rho(X_s)] ds.
-    Returns (times, M) sampled at the jump instants, with the post-lifetime
-    value frozen.  It is the per-path reference for _checkpoint_values.
-    """
-    rho = mu.density(form.space)
-    u = np.asarray(u, dtype=float)
-
-    times = [0.0]
-    mvals = [0.0]
-    t = 0.0
-    M = 0.0
-    for j, (x, hold) in enumerate(zip(path.states, path.holds)):
-        x = int(x)
-        fx = float(driver.value_at(np.array([x]), np.array([u[x]]))[0])
-        M += (fx + rho[x]) * hold
-        t += hold
-        last = j == len(path) - 1
-        if last and path.absorbed:
-            M -= u[x]
-        elif not last:
-            M += u[int(path.states[j + 1])] - u[x]
-        times.append(t)
-        mvals.append(M)
-    return np.asarray(times), np.asarray(mvals)
 
 
 def _checkpoint_values(chain: Chain, blocks, horizon: float, u, c, cps):

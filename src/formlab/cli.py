@@ -22,7 +22,7 @@ from .bsde import SolverError
 from .convergence import STUDY_METHODS, StudyError, convergence_study
 from .drivers import DriverError
 from .elliptic import METHODS, solve, verify_solution
-from .forms import FormError, GreenOperatorUndefined
+from .forms import MAX_DENSE_VALUES, FormError, GreenOperatorUndefined
 from .markov import _path_rng, build_chain, default_horizon_cap, sample_path
 from .reports import Report, ladder_rows, path_trace_rows, vector_rows
 
@@ -45,6 +45,12 @@ def _positive(kind):
                 f"must be a positive finite {kind.__name__}, got {text!r}")
         return value
     return parse
+
+
+def _grids(text):
+    """argparse type: comma-separated positive ints, such as 64,128,256."""
+    parse = _positive(int)
+    return [parse(part) for part in text.split(",")]
 
 
 def _add_common(p):
@@ -100,6 +106,11 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     pid, problem = _load(args)
+    n = problem.form.n
+    if args.paths * n > MAX_DENSE_VALUES:
+        raise FormError(
+            f"--paths must be at most {MAX_DENSE_VALUES // n} on {n} nodes, "
+            f"MAX_DENSE_VALUES = {MAX_DENSE_VALUES} values, got {args.paths}")
     chain = build_chain(problem.form)
     horizon = args.horizon or default_horizon_cap(chain)
     paths = [sample_path(chain, args.start, args.seed, horizon,
@@ -165,11 +176,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    grids = [int(g) for g in args.grids.split(",")]
-    report = convergence_study(args.family, grids, method=args.method_bench,
-                               alpha=args.alpha)
+    report = convergence_study(args.family, args.grids,
+                               method=args.method_bench, alpha=args.alpha)
     out = args.out or _default_out()
-    config = {"command": "bench", "family": args.family, "grids": grids,
+    config = {"command": "bench", "family": args.family, "grids": args.grids,
               "method": args.method_bench, "alpha": args.alpha}
     rows = [(r.n, r.h,
              "" if r.error is None else r.error,
@@ -179,7 +189,7 @@ def cmd_bench(args) -> int:
     rep = Report(name=f"bench-{args.family}",
                  header=("n", "h", "error", "order", "boundary_exponent"),
                  rows=rows, config=config,
-                 summary=f"{args.family} study over {grids}")
+                 summary=f"{args.family} study over {args.grids}")
     path = rep.write(out)
     print(f"wrote {path}")
     return 0
@@ -223,7 +233,7 @@ def build_parser():
     p = sub.add_parser("bench", help="grid refinement study")
     p.add_argument("--family", required=True,
                    choices=["lap1d", "diag", "frac"])
-    p.add_argument("--grids", default="64,128,256,512")
+    p.add_argument("--grids", type=_grids, default="64,128,256,512")
     p.add_argument("--method-bench", default="gauss-seidel",
                    choices=STUDY_METHODS)
     p.add_argument("--alpha", type=float, default=1.0)

@@ -7,7 +7,6 @@ family parameters.  Built-in families:
   affine     f(x, y) = a(x) + b(x) * y                 (monotone iff b <= 0)
   power      f(x, y) = g(x) - c(x) * sign(y)|y|^p      (monotone iff c >= 0)
   tabulated  per-node piecewise-linear table in y
-  callable   arbitrary vectorized rule with caller-supplied metadata
 
 All evaluations are vectorized over nodes: ``value(u)`` returns the vector
 f(x, u_x) and ``value_at(idx, y)`` evaluates a subset of nodes.
@@ -114,12 +113,6 @@ class Driver:
                       monotone=bool(np.all(slopes <= _TABLE_SLOPE_TOL)),
                       lipschitz=float(np.max(np.abs(slopes))))
 
-    @staticmethod
-    def from_callable(n, fn, *, monotone, lipschitz=None) -> "Driver":
-        """fn(idx, y) must accept integer node indices and y values, vectorized."""
-        return Driver(n, "callable", {"fn": fn},
-                      monotone=monotone, lipschitz=lipschitz)
-
     # -- evaluation --------------------------------------------------------
 
     def value_at(self, idx, y) -> np.ndarray:
@@ -133,8 +126,6 @@ class Driver:
             return p["g"][idx] - p["c"][idx] * _signed_power(y, p["p"])
         if self.family == "tabulated":
             return self._table_eval(idx, y)
-        if self.family == "callable":
-            return np.asarray(p["fn"](idx, y), dtype=float)
         if self.family == "yosida":
             return self._yosida_eval(idx, y)
         if self.family == "truncated":

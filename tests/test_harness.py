@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import formlab as fl
+from formlab import cli
 from formlab.cli import main
 from formlab.convergence import StudyError
 from formlab.reports import Report, fmt, vector_rows
@@ -253,6 +254,8 @@ def test_cli_simulate_trace(tmp_path):
     assert lines[0] == "path,step,state,holding"
     first = lines[1].split(",")
     assert first[0] == "0" and first[2] == "2"
+    assert _sha256(tmp_path / "paths-perturbed-g.csv") == \
+        "c411bed1108cfb756abb594e51f677947ebd185c9ce65257da6de45b52adfb7b"
 
 
 def _simulated_paths(out, seed):
@@ -291,15 +294,17 @@ def test_cli_simulate_has_no_tol(tmp_path, capsys):
 @pytest.mark.parametrize("argv, name", [
     (["solve", "--method", "mc"], "n_paths"),
     (["verify", "--method", "ladder"], "N"),
-], ids=["solve-mc", "verify-ladder"])
+    (["simulate"], "--paths"),
+], ids=["solve-mc", "verify-ladder", "simulate"])
 def test_cli_huge_path_budget_exits_2(tmp_path, capsys, monkeypatch, argv,
                                       name):
     # a path budget whose per-path arrays exceed MAX_DENSE_VALUES is refused
-    # by name before those arrays exist: the engine is never entered
-    def engine(*args):
-        raise AssertionError("the lockstep engine was entered")
+    # by name before those arrays exist: no path engine is ever entered
+    def engine(*args, **kwargs):
+        raise AssertionError("a path engine was entered")
     monkeypatch.setattr(fl.markov, "_lockstep", engine)
     monkeypatch.setattr(fl.bsde, "_lockstep", engine)
+    monkeypatch.setattr(cli, "sample_path", engine)
     code = main([*argv, "--catalog", "lap2d", "--paths", "1000000000",
                  "--out", str(tmp_path)])
     assert code == 2
@@ -374,6 +379,16 @@ def test_cli_bench_diag(tmp_path):
     assert lines[0] == "n,h,error,order,boundary_exponent"
     errors = [float(line.split(",")[2]) for line in lines[1:]]
     assert max(errors) <= 1e-12
+
+
+@pytest.mark.parametrize("grids", ["64,x", "1e3,2e3,4e3", "8,16,0", "8,,32"])
+def test_cli_bench_rejects_bad_grids(tmp_path, capsys, grids):
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--family", "diag", "--grids", grids,
+              "--out", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --grids" in err and "Traceback" not in err
 
 
 def test_cli_verify_jobs_deterministic(tmp_path):
