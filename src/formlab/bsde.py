@@ -11,12 +11,17 @@ each step solves the monotone system
     (M + dt L) v - dt M f(., v) = M v_prev + dt masses(mu)
 
 by chord Newton, with Gauss-Seidel on the form perturbed by 1/dt as the
-fallback.  The Jacobian dt L + diag(m - dt m f'(v)) is SPD when f is
-nonincreasing.  Each solve scales the form's cached band of L by dt once
-and holds one factor of the step Jacobian, in one Fortran-ordered work
-array, across all its steps: the first step factors it at the terminal by
-LAPACK's banded Cholesky (DirichletForm._factor), and every correction is
-a banded solve with the held factor.  A chord step is kept when it cuts
+fallback.  Each step builds its residual kernel
+(M v + dt L v) - dt M f(v) - rhs once, over bound locals: L v is the CSR
+mat-vec over L's cached arrays (DirichletForm.matvec) and f(v) is
+Driver.value.  An iteration takes the sup-norms of the correction and of
+the new residual; those of the iterate and of the residual carry over.
+The Jacobian dt L + diag(m - dt m f'(v)) is SPD when f is nonincreasing.
+Each solve scales the form's cached band of L by dt once and holds one
+factor of the step Jacobian, in one Fortran-ordered work array, across
+all its steps: the first step factors it at the terminal by LAPACK's
+banded Cholesky (DirichletForm._factor), and every correction is a banded
+solve with the held factor.  A chord step is kept when it cuts
 the residual sup-norm at least fourfold, or meets the residual gate;
 otherwise the step copies the step band into the work array, adds the
 diagonal at the current iterate, refactors in place and takes a damped
@@ -87,9 +92,12 @@ class BsdeSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+_max_reduce = np.maximum.reduce
+
+
 def _sup(x) -> float:
     """max |x|, the sup-norm of every increment, residual and correction."""
-    return float(np.abs(x).max())
+    return float(_max_reduce(np.abs(x)))
 
 
 def _implicit_step(form, dt, driver, rhs, v_init, factor, refresh, *, tol,
@@ -99,6 +107,13 @@ def _implicit_step(form, dt, driver, rhs, v_init, factor, refresh, *, tol,
     factor is the held banded factor of a step Jacobian, or None to factor
     at v_init; refresh(v) factors the Jacobian at v and returns it.  Returns
     (v, iterations, factor), the factor to hold for the next step.
+
+    The residual kernel F(v) = (M v + dt L v) - dt M f(v) - rhs is built
+    once per step over bound locals, with L v from form.matvec and f(v)
+    from driver.value.  Each iteration takes two sup-norms, of the
+    correction and of the new residual; the sup-norms of v and F carry
+    over, and that of a damped correction alpha delta is alpha |delta|,
+    exact since alpha is a power of two and rounding is monotone.
 
     The held factor serves as a chord (simplified Newton) operator: the
     step v + delta is kept only if its residual sup-norm is finite and at
@@ -114,51 +129,59 @@ def _implicit_step(form, dt, driver, rhs, v_init, factor, refresh, *, tol,
     perturbed by 1/dt, whose node equations are the step system divided by
     dt.  The caller names the step in any SolverError raised here.
     """
-    dtm = dt * form.m
+    m = form.m
+    dtm = dt * m
+    matvec, value = form.matvec, driver.value
 
     def residual(v):
-        return form.m * v + dt * (form.L @ v) - dtm * driver.value(v) - rhs
+        return m * v + dt * matvec(v) - dtm * value(v) - rhs
 
+    exact = driver.constant_slope is not None  # the Newton step is exact
     v = v_init.copy()
     F = residual(v)
-    gate = max(1e-9 * (1 + _sup(F)), 1e2 * tol)
+    norm = _sup(F)
+    gate = max(1e-9 * (1 + norm), 1e2 * tol)
     fresh = factor is None
     if fresh:
         factor = refresh(v)
+    v_sup = _sup(v)
     for it in range(1, max_iter + 1):
         try:
             delta = _band_solve(factor, -F, "Newton residual")
         except ValueError as exc:
             raise SolverError(str(exc))
-        if driver.constant_slope is not None:  # the Newton step is exact
+        if exact:
             return v + delta, 1, factor
-        norm = _sup(F)
-        if _sup(delta) <= tol * (1.0 + _sup(v)) and norm <= gate:
+        d_sup = _sup(delta)
+        if d_sup <= tol * (1.0 + v_sup) and norm <= gate:
             return v + delta, it, factor
         alpha = 1.0
         if fresh:
             for _ in range(40):
                 v_new = v + alpha * delta
                 F_new = residual(v_new)
-                if _sup(F_new) <= (1 - 0.25 * alpha) * norm + 1e-300:
+                norm_new = _sup(F_new)
+                if norm_new <= (1 - 0.25 * alpha) * norm + 1e-300:
                     break
                 alpha *= 0.5
             fresh = False
         else:
             v_new = v + delta
             F_new = residual(v_new)
-            if not _sup(F_new) <= max(0.25 * norm, gate):  # also when nan
+            norm_new = _sup(F_new)
+            if not norm_new <= max(0.25 * norm, gate):  # also when nan
                 factor, fresh = refresh(v), True
                 continue
-        v, F = v_new, F_new
-        if _sup(alpha * delta) <= tol * (1.0 + _sup(v)):
-            if _sup(F) <= gate:
+        v, F, norm = v_new, F_new, norm_new
+        v_sup = _sup(v)
+        if alpha * d_sup <= tol * (1.0 + v_sup):
+            if norm <= gate:
                 return v, it, factor
     from .elliptic import solve_elliptic_gauss_seidel
     sol = solve_elliptic_gauss_seidel(
         perturb(form, np.full(form.n, 1.0 / dt)), driver,
         SignedMeasure(rhs / dt), x0=v,
-        tol=tol * (1.0 + _sup(v)), max_sweeps=5000)
+        tol=tol * (1.0 + v_sup), max_sweeps=5000)
     return sol.u, max_iter + sol.diagnostics["sweeps"], factor
 
 
@@ -176,7 +199,9 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     across all the steps: the first step factors it at the terminal, and a
     step refactors it in place only when a chord step fails to cut the
     residual fourfold (_implicit_step).  For an affine driver the Jacobian
-    does not depend on v, so the first factor serves every step.
+    does not depend on v, so the first factor serves every step.  The
+    diagnostics count the steps, the Newton iterations (inner_iterations)
+    and the step-Jacobian factorizations (factors).
     """
     if not (np.isfinite(T) and T >= 0):
         raise FormError(f"horizon T must be finite and nonnegative, got {T}")
@@ -193,18 +218,23 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
             f"MAX_STEP_WORK = {MAX_STEP_WORK}")
     steps = int(steps)
     dt = T / steps
-    dtm = dt * form.m
+    m = form.m
+    dtm = dt * m
+    dt_masses = dt * mu.masses
     band = dt * form._lower_band()  # Fortran-ordered, as is work
     work = np.empty_like(band)
+    factors = 0
 
     def refresh(v):
         """Factor the step Jacobian at v in place in work."""
+        nonlocal factors
+        factors += 1
         np.copyto(work, band)
         slope = driver.constant_slope
         if slope is None:
             slope = np.minimum(driver.deriv(v), 0.0)
         try:
-            return form._factor(dt, form.m - dtm * slope, work)
+            return form._factor(dt, m - dtm * slope, work)
         except LinAlgError as exc:
             raise SolverError(f"step Jacobian not SPD ({exc})")
         except ValueError as exc:
@@ -214,19 +244,19 @@ def solve_finite_horizon(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     factor = None
     v = terminal.copy()
     for j in range(steps - 1, -1, -1):
-        rhs = form.m * v + dt * mu.masses
         try:
             v, iters, factor = _implicit_step(
-                form, dt, driver, rhs, v, factor, refresh,
+                form, dt, driver, m * v + dt_masses, v, factor, refresh,
                 tol=NEWTON_TOL, max_iter=MAX_NEWTON)
         except SolverError as exc:
             raise SolverError(f"backward step {j} (t = {j * dt:.6g}): {exc}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             bad = int(np.argmax(~np.isfinite(v)))
             raise SolverError(f"non-finite value at step {j}, node {bad}")
         total_iters += iters
     return BsdeSolution(v, {"steps": steps, "dt": dt,
-                            "inner_iterations": total_iters})
+                            "inner_iterations": total_iters,
+                            "factors": factors})
 
 
 @dataclass(frozen=True)
@@ -237,6 +267,7 @@ class LadderLevel:
     inner_iterations: int
     truncation_active: bool
     yosida_level: int | None
+    factors: int
 
 
 @dataclass
@@ -350,7 +381,8 @@ def solve_random_horizon_ladder(form: DirichletForm, driver: Driver,
             level=level, horizon=T, sup_increment=inc,
             inner_iterations=sol.diagnostics.get("inner_iterations", 0),
             truncation_active=(f0_max > level or mu_max > level),
-            yosida_level=yosida_level))
+            yosida_level=yosida_level,
+            factors=sol.diagnostics.get("factors", 0)))
         u_prev = sol.u
         if level >= 2 and inc <= max(LADDER_TOL, floor):
             return sol, LadderTrace(levels, achieved_tol=max(LADDER_TOL, floor))

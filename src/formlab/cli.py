@@ -111,21 +111,31 @@ def cmd_simulate(args) -> int:
         raise FormError(
             f"--paths must be at most {MAX_DENSE_VALUES // n} on {n} nodes, "
             f"MAX_DENSE_VALUES = {MAX_DENSE_VALUES} values, got {args.paths}")
+    if not 0 <= args.start < n:  # refused before the CSV is opened
+        raise FormError(f"start node {args.start} out of range")
     chain = build_chain(problem.form)
     horizon = args.horizon or default_horizon_cap(chain)
-    paths = [sample_path(chain, args.start, args.seed, horizon,
-                         rng=_path_rng(args.seed, i))
-             for i in range(args.paths)]
+    absorbed = 0
+
+    def rows():
+        """Sample the paths one at a time, counting the absorbed ones;
+        with --trace, yield each path's rows before the next is drawn."""
+        nonlocal absorbed
+        for i in range(args.paths):
+            sampled = sample_path(chain, args.start, args.seed, horizon,
+                                  rng=_path_rng(args.seed, i))
+            absorbed += sampled.absorbed
+            if args.trace:
+                yield from path_trace_rows(i, sampled)
+
     out = args.out or _default_out()
     config = {"command": "simulate", "problem": pid, "start": args.start,
               "paths": args.paths, "seed": args.seed, "horizon": horizon}
-    absorbed = sum(1 for p in paths if p.absorbed)
     rep = Report(name=f"paths-{pid}",
                  header=("path", "step", "state", "holding"),
-                 rows=path_trace_rows(paths) if args.trace else [],
-                 config=config,
-                 summary=f"{args.paths} paths from node {args.start}; "
-                         f"{absorbed} absorbed")
+                 rows=rows(), config=config,
+                 summary=lambda: f"{args.paths} paths from node "
+                                 f"{args.start}; {absorbed} absorbed")
     path = rep.write(out)
     print(f"wrote {path}")
     return 0

@@ -62,6 +62,10 @@ class Driver:
     def __init__(self, n, family, params, *, monotone, lipschitz=None,
                  constant_slope=None):
         self.n = int(n)
+        # the node index array value(u) passes to value_at, which tells it
+        # by identity
+        self._nodes = np.arange(self.n)
+        self._nodes.flags.writeable = False
         self.family = family
         self.params = params
         self.monotone = bool(monotone)
@@ -116,27 +120,39 @@ class Driver:
     # -- evaluation --------------------------------------------------------
 
     def value_at(self, idx, y) -> np.ndarray:
-        """f at nodes idx (int array) and values y (same-shape array)."""
-        idx = np.asarray(idx, dtype=int)
+        """f at nodes idx (int array) and values y (same-shape array).
+
+        Given self._nodes itself, every node in order, the per-node
+        parameters are read whole rather than gathered; the values are the
+        same bits.
+        """
+        every = idx is self._nodes
+        if not every:
+            idx = np.asarray(idx, dtype=int)
         y = np.asarray(y, dtype=float)
         p = self.params
         if self.family == "affine":
+            if every:
+                return p["a"] + p["b"] * y
             return p["a"][idx] + p["b"][idx] * y
         if self.family == "power":
+            if every:
+                return p["g"] - p["c"] * _signed_power(y, p["p"])
             return p["g"][idx] - p["c"][idx] * _signed_power(y, p["p"])
         if self.family == "tabulated":
             return self._table_eval(idx, y)
         if self.family == "yosida":
-            return self._yosida_eval(idx, y)
+            return self._yosida_eval(idx, y, every)
         if self.family == "truncated":
             base: Driver = p["base"]
+            if every:
+                return base.value_at(base._nodes, y) - p["shift"]
             return base.value_at(idx, y) - p["shift"][idx]
         raise DriverError(f"unknown driver family {self.family!r}")
 
     def value(self, u) -> np.ndarray:
         """Vector f(x, u_x) over all nodes."""
-        u = np.asarray(u, dtype=float)
-        return self.value_at(np.arange(self.n), u)
+        return self.value_at(self._nodes, u)
 
     def scalar(self, x: int, y: float) -> float:
         """Scalar f(x, y) without array overhead (hot path of node solvers)."""
@@ -177,7 +193,7 @@ class Driver:
             return -c * pw * base ** (pw - 1.0)
         if self.family == "truncated":
             return p["base"].deriv(u)
-        idx = np.arange(self.n)
+        idx = self._nodes
         h = 1e-6 * np.maximum(1.0, np.abs(u))
         return (self.value_at(idx, u + h) - self.value_at(idx, u - h)) / (2 * h)
 
@@ -202,15 +218,20 @@ class Driver:
         j = np.clip(np.searchsorted(yg, y) - 1, 0, yg.size - 2)
         return V[idx, j] + slopes[idx, j] * (y - yg[j])
 
-    def _yosida_eval(self, idx, y):
+    def _yosida_eval(self, idx, y, every):
         p = self.params
         z, pre, suf, lip = p["z"], p["pre"], p["suf"], p["n"]
         # grid points z_k <= y lie left of y and the rest right of it, so
         # min_k f(x, z_k) + n|y - z_k| splits into two stored minima
-        y = np.asarray(y, dtype=float)
-        j = np.searchsorted(z, y, side="right")
+        j = z.searchsorted(y, side="right")
+        if every:  # row x of the (n, G + 1) tables starts at x (G + 1)
+            flat = p["row_starts"] + j
+            left, right = pre.take(flat), suf.take(flat)
+        else:
+            left, right = pre[idx, j], suf[idx, j]
         # fmin keeps the finite side at y = +-inf, where the other reads nan
-        return np.fmin(lip * y + pre[idx, j], -lip * y + suf[idx, j])
+        ly = lip * y
+        return np.fmin(ly + left, right - ly)
 
 
 def require_monotone(driver: Driver) -> None:
@@ -273,7 +294,8 @@ def yosida_regularize(driver: Driver, n: int, ygrid: dict) -> Driver:
     np.minimum.accumulate(F - lip * z, axis=1, out=pre[:, 1:])
     np.minimum.accumulate((F + lip * z)[:, ::-1], axis=1, out=suf[:, -2::-1])
     return Driver(driver.n, "yosida",
-                  {"base": driver, "z": z, "pre": pre, "suf": suf, "n": lip},
+                  {"base": driver, "z": z, "pre": pre, "suf": suf, "n": lip,
+                   "row_starts": np.arange(driver.n) * (z.size + 1)},
                   monotone=driver.monotone,
                   lipschitz=lip)
 

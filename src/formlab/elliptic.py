@@ -68,7 +68,7 @@ class EllipticSolution:
 
 def weak_form_defect(form, u, f_u, mu) -> np.ndarray:
     """Per-node defect of the node equations, Lu - M f_u - masses(mu)."""
-    return form.L @ u - form.m * f_u - mu.masses
+    return form.matvec(u) - form.m * f_u - mu.masses
 
 
 def weak_form_residual(form, u, f_u, mu) -> float:

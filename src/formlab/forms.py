@@ -34,6 +34,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf as _dpbtrf, dpbtrs as _dpbtrs
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 
 #: Most values a dense array may hold: a frac descriptor's n x n jump
@@ -143,6 +144,7 @@ class DirichletForm:
         self._k = _frozen_array(k)
         self._degree = _frozen_array(np.asarray(W.sum(axis=1)).ravel())
         self._L = None
+        self._csr = None
         self._band = None
         self._green = None
         self._lowest = {}
@@ -179,6 +181,24 @@ class DirichletForm:
             L.data.flags.writeable = False
             self._L = L
         return self._L
+
+    def matvec(self, v) -> np.ndarray:
+        """L v for one vector of n values, bit for bit equal to L @ v.
+
+        It calls the CSR mat-vec kernel that L @ v dispatches to, over
+        the cached arrays of L, without scipy's operator dispatch.
+        """
+        if self._csr is None:
+            L = self.L
+            self._csr = (self.n, self.n, L.indptr, L.indices, L.data)
+        n = self._csr[0]
+        v = np.asarray(v, dtype=float)
+        if v.shape != (n,):
+            raise FormError(
+                f"mat-vec argument must have length {n}, got {v.shape}")
+        out = np.zeros(n)
+        _csr_matvec(*self._csr, v, out)
+        return out
 
     def energy(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
         """E(u, v) by the defining double sum; E(u, u) when v is omitted."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,25 +27,30 @@ def fmt(value) -> str:
 
 @dataclass
 class Report:
+    """A CSV body and its JSON sidecar.
+
+    rows may be any iterable of rows; it is consumed once, row by row, as
+    the CSV is written.  summary is a string, or a function of no
+    arguments called once the rows are written, for a summary that counts
+    what the rows went through.
+    """
+
     name: str
     header: tuple
-    rows: list
+    rows: Iterable
     config: dict
-    summary: str = ""
+    summary: str | Callable[[], str] = ""
     passed: bool = True
-
-    def csv_text(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
 
     def write(self, outdir) -> str:
         os.makedirs(outdir, exist_ok=True)
         csv_path = os.path.join(outdir, f"{self.name}.csv")
         with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(self.csv_text())
-        meta = {"schema": SCHEMA_ID, "summary": self.summary,
+            fh.write(",".join(self.header) + "\n")
+            for row in self.rows:
+                fh.write(",".join(fmt(v) for v in row) + "\n")
+        summary = self.summary() if callable(self.summary) else self.summary
+        meta = {"schema": SCHEMA_ID, "summary": summary,
                 "passed": self.passed, "config": self.config}
         with open(os.path.join(outdir, f"{self.name}.json"), "w",
                   encoding="utf-8") as fh:
@@ -72,10 +78,7 @@ def ladder_rows(trace):
              int(lv.inner_iterations)) for lv in trace.levels]
 
 
-def path_trace_rows(paths):
-    """(path index, step, state, holding time) rows for sampled paths."""
-    rows = []
-    for p_idx, path in enumerate(paths):
-        for step, (state, hold) in enumerate(zip(path.states, path.holds)):
-            rows.append((p_idx, step, int(state), float(hold)))
-    return rows
+def path_trace_rows(p_idx, path):
+    """(path index, step, state, holding time) rows of one sampled path."""
+    for step, (state, hold) in enumerate(zip(path.states, path.holds)):
+        yield (p_idx, step, int(state), float(hold))

@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -418,6 +419,15 @@ def test_ladder_takes_converged_newton_steps_whole(monkeypatch):
     assert len(calls) <= steps + 2 * sum(inner)
 
 
+def test_ladder_reports_factors_per_level():
+    # lap2d's chord steps all cut the residual fourfold: each level factors
+    # its step Jacobian once, at its terminal
+    p = fl.build_catalog_problem("lap2d")
+    sol, trace = fl.solve_random_horizon_ladder(p.form, p.driver, p.mu)
+    assert [lv.factors for lv in trace.levels] == [1, 1, 1, 1, 1, 1]
+    assert sol.diagnostics["factors"] == trace.levels[-1].factors
+
+
 @pytest.mark.parametrize("pid", fl.catalog_ids())
 def test_ladder_factors_at_most_twice_per_level(pid, monkeypatch):
     # the step Jacobian's factor is held across the steps of a level and
@@ -460,6 +470,28 @@ def test_ladder_flow_levels(desc, first, monkeypatch):
         assert not any(lv.truncation_active
                        for lv in trace.levels[first - 2:])
         assert first == 2 or trace.levels[first - 3].truncation_active
+
+
+@pytest.mark.parametrize("desc, digest", [
+    # f0 = 2.5 is clamped at levels 1 and 2: the truncated family over an
+    # affine base, whose constant slope gives one exact solve per step
+    ({"family": "lap2d", "n": 8,
+      "driver": {"family": "affine", "a": 2.5, "b": -1.5},
+      "measure": [{"x": [0.5, 0.5], "mass": 1.0}]},
+     "d8b56af175289e5b91898335072042d8a6c26eb2500ddd6c726c30df4696e92a"),
+    # the mass-3 atom of test_ladder_flow_levels, clamped at levels 1 and 2
+    ({"family": "lap1d", "n": 16, "measure": [{"x": 0.5, "mass": 3.0}]},
+     "48c6ae8124d0b5fafeb67ead2fcbc0b8d16b8c87e03912aa465e43eb261e9113"),
+], ids=["affine", "truncated"])
+def test_ladder_step_branches_pinned(desc, digest):
+    # the exact affine step and the truncated data, bit for bit
+    p = fl.build_catalog_problem(desc)
+    sol, trace = fl.solve_random_horizon_ladder(p.form, p.driver, p.mu)
+    assert [lv.inner_iterations for lv in trace.levels] == \
+        [128, 128, 128, 64, 64, 64]
+    assert [lv.truncation_active for lv in trace.levels] == \
+        [True, True, False, False, False, False]
+    assert hashlib.sha256(sol.u.tobytes()).hexdigest() == digest
 
 
 def test_l1_bound_along_truncation_levels():

@@ -224,3 +224,43 @@ def test_make_driver_descriptors():
         fl.make_driver({"family": "nope"}, 3)
     with pytest.raises(DriverError):
         fl.make_driver({"family": "power", "bogus": 1}, 3)
+
+
+# -- whole-vector evaluation ---------------------------------------------------
+
+def _fast_path_drivers():
+    rng = np.random.default_rng(7)
+    n = 6
+    c, g = rng.uniform(0.0, 2.0, n), rng.uniform(-3.0, 3.0, n)
+    drivers = {"affine": fl.Driver.affine(n, g, -c)}
+    for p in (0.5, 1.0, 2.0, 3.0):
+        drivers[f"power-{p}"] = fl.Driver.power(n, c, p, g)
+    ys = np.linspace(-2.0, 2.0, 9)
+    drivers["tabulated"] = fl.Driver.tabulated(
+        ys, g[:, None] - c[:, None] * ys ** 3)
+    drivers["yosida"] = fl.yosida_regularize(
+        drivers["power-3.0"], 3, {"R": 2.0, "delta": 2.0 / 64})
+    drivers["truncated"], _ = fl.truncate_data(
+        drivers["power-2.0"], fl.SignedMeasure(np.zeros(n)), 1)
+    assert drivers["truncated"].family == "truncated"
+    return drivers, rng
+
+
+@pytest.mark.parametrize("name", ["affine", "power-0.5", "power-1.0",
+                                  "power-2.0", "power-3.0", "tabulated",
+                                  "yosida", "truncated"])
+def test_value_equals_value_at_every_node_bit_for_bit(name):
+    # value(u) reads the per-node parameters whole; value_at on a fresh
+    # arange gathers them; both give the same bits
+    drivers, rng = _fast_path_drivers()
+    drv = drivers[name]
+    z = drivers["yosida"].params["z"]
+    us = [rng.normal(scale=2.0, size=drv.n),
+          z[rng.integers(0, z.size, drv.n)],            # on grid points
+          np.array([-6.0, 6.0, -2.0, 2.0, -2.5, 7.0]),  # at and beyond +-R
+          np.array([np.inf, -np.inf, 0.0, -0.0, np.inf, 1.0])]
+    with np.errstate(invalid="ignore"):
+        for u in us:
+            fast = drv.value(u)
+            slow = drv.value_at(np.arange(drv.n), u)
+            assert fast.tobytes() == slow.tobytes(), (name, u)

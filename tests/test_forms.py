@@ -456,3 +456,14 @@ def test_perturb_rejects_zero_entry():
     form = two_node_form()
     with pytest.raises(fl.FormError, match="strictly positive"):
         fl.perturb(form, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("pid", fl.catalog_ids())
+def test_matvec_equals_sparse_product_bit_for_bit(pid):
+    form = fl.build_catalog_problem(pid).form
+    rng = np.random.default_rng(11)
+    for v in (rng.normal(size=form.n), rng.normal(size=2 * form.n)[::2],
+              np.arange(form.n)):
+        assert form.matvec(v).tobytes() == (form.L @ v).tobytes()
+    with pytest.raises(fl.FormError, match="mat-vec argument"):
+        form.matvec(np.zeros(form.n + 1))

@@ -258,6 +258,32 @@ def test_cli_simulate_trace(tmp_path):
         "c411bed1108cfb756abb594e51f677947ebd185c9ce65257da6de45b52adfb7b"
 
 
+def test_cli_simulate_memory_flat_in_paths(tmp_path):
+    # without --trace no path outlives its count: ten times the paths
+    # leave the traced peak where it was (it grew 7.5-fold with a list)
+    peaks = []
+    for paths in (50, 500):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--catalog", "perturbed-g",
+                         "--paths", str(paths),
+                         "--out", str(tmp_path / str(paths))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+    meta = json.loads((tmp_path / "500" / "paths-perturbed-g.json").read_text())
+    assert meta["summary"].startswith("500 paths from node 0; ")
+
+
+@pytest.mark.parametrize("start", ["-1", "16"])
+def test_cli_simulate_bad_start_writes_nothing(tmp_path, capsys, start):
+    assert main(["simulate", "--catalog", "perturbed-g", "--start", start,
+                 "--trace", "--out", str(tmp_path)]) == 2
+    assert f"start node {start} out of range" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def _simulated_paths(out, seed):
     assert main(["simulate", "--catalog", "perturbed-g", "--start", "2",
                  "--paths", "4", "--seed", str(seed), "--trace",
