@@ -14,8 +14,8 @@ by chord Newton, with Gauss-Seidel on the form perturbed by 1/dt as the
 fallback.  Each step builds its residual kernel
 (M v + dt L v) - dt M f(v) - rhs once, over bound locals: L v is the CSR
 mat-vec over L's cached arrays (DirichletForm.matvec) and f(v) is
-Driver.value.  An iteration takes the sup-norms of the correction and of
-the new residual; those of the iterate and of the residual carry over.
+Driver.value.  An iteration takes three sup-norms, of the correction, the
+new residual and the new iterate, and reuses each where it is needed again.
 The Jacobian dt L + diag(m - dt m f'(v)) is SPD when f is nonincreasing.
 Each solve scales the form's cached band of L by dt once and holds one
 factor of the step Jacobian, in one Fortran-ordered work array, across
@@ -110,10 +110,11 @@ def _implicit_step(form, dt, driver, rhs, v_init, factor, refresh, *, tol,
 
     The residual kernel F(v) = (M v + dt L v) - dt M f(v) - rhs is built
     once per step over bound locals, with L v from form.matvec and f(v)
-    from driver.value.  Each iteration takes two sup-norms, of the
-    correction and of the new residual; the sup-norms of v and F carry
-    over, and that of a damped correction alpha delta is alpha |delta|,
-    exact since alpha is a power of two and rounding is monotone.
+    from driver.value.  Each iteration takes three sup-norms, of the
+    correction, the new residual and the new iterate: those of F and v
+    carry over to the next iteration's tests, and that of a damped
+    correction alpha delta is alpha |delta|, exact since alpha is a power
+    of two and rounding is monotone.
 
     The held factor serves as a chord (simplified Newton) operator: the
     step v + delta is kept only if its residual sup-norm is finite and at
