@@ -119,11 +119,19 @@ def cmd_simulate(args) -> int:
 
     def rows():
         """Sample the paths one at a time, counting the absorbed ones;
-        with --trace, yield each path's rows before the next is drawn."""
+        with --trace, yield each path's rows before the next is drawn.
+        The steps of all paths together are bounded by MAX_DENSE_VALUES."""
         nonlocal absorbed
+        steps = 0
         for i in range(args.paths):
             sampled = sample_path(chain, args.start, args.seed, horizon,
                                   rng=_path_rng(args.seed, i))
+            steps += len(sampled)
+            if steps > MAX_DENSE_VALUES:
+                raise SolverError(
+                    f"--paths {args.paths}: path {i} brings the steps to "
+                    f"{steps}, over the budget MAX_DENSE_VALUES = "
+                    f"{MAX_DENSE_VALUES}")
             absorbed += sampled.absorbed
             if args.trace:
                 yield from path_trace_rows(i, sampled)

@@ -368,9 +368,11 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     """Feynman-Kac Monte Carlo solution on empirical occupation measures.
 
     n_paths is the total budget, split evenly across start nodes.  All paths
-    run in one lockstep loop, each start's on its own substream
-    _path_rng(seed, x), and each is cut at default_horizon_cap(chain); a
-    cut fraction above MAX_CAPPED_FRACTION raises SolverError.  Paths are
+    run in one lockstep loop as one block on the one stream
+    _path_rng(seed), each start's paths together in start order, so an
+    iteration makes three Generator calls whatever the number of starts;
+    each path is cut at default_horizon_cap(chain), and a cut fraction
+    above MAX_CAPPED_FRACTION raises SolverError.  Paths are
     sampled once; the same paths are reused by every damped Picard
     iteration (common random numbers), so the output is deterministic given
     the seed.  Per-node standard errors are evaluated at the returned
@@ -396,8 +398,8 @@ def solve_elliptic_mc(form: DirichletForm, driver: Driver, mu: SignedMeasure,
     rho = mu.density(form.space)
 
     occ, capped = _occupation(
-        chain, [(np.full(counts[x], x, dtype=np.int64), _path_rng(seed, x))
-                for x in range(n)], horizon_cap)
+        chain, [(np.repeat(np.arange(n, dtype=np.int64), counts),
+                 _path_rng(seed))], horizon_cap)
     capped_fraction = capped / float(n_paths)
     if capped_fraction > MAX_CAPPED_FRACTION:
         raise SolverError(

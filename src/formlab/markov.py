@@ -14,10 +14,13 @@ Two sampling layers:
     exactly what it would draw if it ran alone, so a block's paths do not
     depend on the other blocks.  It holds only the paths still alive,
     dropping ended ones after every iteration.  Its callers add up what
-    they need: _occupation (the occupation-measure solver, one block per
-    start node), revuz_check, and the martingale residual check's
-    checkpoint recorder in bsde (also one block per start node).  With a
-    single start it walks the same path as sample_path on the same stream.
+    they need: _occupation, revuz_check, and the martingale residual
+    check's checkpoint recorder in bsde (one block per start node).  The
+    Monte Carlo solver hands _occupation one block, every start's paths on
+    the one stream _path_rng(seed), so each iteration makes three
+    Generator calls however many starts it runs; consecutive Philox draws
+    are as independent as substream draws.  With a single start the
+    engine walks the same path as sample_path on the same stream.
 
 The engine's cost is a few vector passes per iteration over the alive
 paths, so each pass it saves is saved on every path step.  Chain keeps

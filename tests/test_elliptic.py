@@ -301,6 +301,40 @@ def test_mc_deterministic():
     assert np.array_equal(a.diagnostics["se"], b.diagnostics["se"])
 
 
+def test_mc_draws_three_generator_calls_per_iteration(monkeypatch):
+    # every start's paths share one stream, so a lockstep iteration draws
+    # its holds in one call and its jump uniforms in two, however many of
+    # lap2d's 256 starts are alive
+    calls, iters = [], [0]
+    path_rng, lockstep = fl.elliptic._path_rng, fl.markov._lockstep
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            draw = getattr(self.rng, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return draw(*args, **kwargs)
+            return counted
+
+    def engine(*args):
+        for step in lockstep(*args):
+            iters[0] += 1
+            yield step
+
+    monkeypatch.setattr(fl.elliptic, "_path_rng",
+                        lambda *args: Counted(path_rng(*args)))
+    monkeypatch.setattr(fl.markov, "_lockstep", engine)
+    p = fl.build_catalog_problem("lap2d")
+    assert p.form.n == 256
+    fl.solve_elliptic_mc(p.form, p.driver, p.mu, n_paths=256 * 8, seed=0)
+    assert iters[0] > 0
+    assert len(calls) <= 3 * iters[0], (len(calls), iters[0])
+
+
 # -- checks -----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -188,7 +188,7 @@ def test_cli_solve_reproducible_bytes(tmp_path):
         == (b / "solution-perturbed-g.csv").read_bytes()
     # pinned across commits: a change to these bytes must be deliberate
     assert _sha256(a / "solution-perturbed-g.csv") == \
-        "78cc3d980bb684fa087a7c5de52e0eb9b2c5e9832e1e6c68e91c9557bc64284c"
+        "da7111d49299f5d9b064475b05b388c33918ee1907a46761ec3751fb2a027ee3"
 
 
 def test_cli_solve_ladder_writes_diagnostics(tmp_path):
@@ -317,6 +317,21 @@ def test_cli_simulate_has_no_tol(tmp_path, capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+def test_cli_simulate_step_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # the paths are admitted (100 * 16 values) but their steps are not: the
+    # run stops at the path that passes the budget, within bounded work
+    monkeypatch.setattr(cli, "MAX_DENSE_VALUES", 1600)
+    start = time.perf_counter()
+    code = main(["simulate", "--catalog", "perturbed-g", "--paths", "100",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "--paths 100: path " in err and "MAX_DENSE_VALUES = 1600" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "paths-perturbed-g.json").exists()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["solve", "--method", "mc"], "n_paths"),
     (["verify", "--method", "ladder"], "N"),
@@ -357,7 +372,7 @@ def test_cli_verify_passes_and_writes(tmp_path):
 @pytest.mark.parametrize("argv, digest", [
     (["--catalog", "lap2d", "--method", "mc", "--paths", "20000",
       "--seed", "2"],
-     "cbbf7fc6ad6c738b408b22d63dd6d5c19b0bd035a5f26c160aa169111d29a834"),
+     "7075cbc44fe846a24a22578ac27ffd596f482d06257136493dd8003188710b8b"),
     (["--catalog", "frac-a10", "--method", "gauss-seidel", "--paths", "10000",
       "--seed", "1"],
      "aaa5f730ee09d81e2f17dc018bc7748f7bb35d699c7194a35203842fc4aed6ee"),
