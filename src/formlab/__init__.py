@@ -5,8 +5,8 @@ from .forms import (DirichletForm, FormError, GreenOperatorUndefined, Problem,
 from .drivers import Driver, DriverError, make_driver, truncate_data, yosida_regularize
 from .catalog import (CATALOG, DescriptorError, build_catalog_problem,
                       catalog_ids, load_problem)
-from .markov import (Chain, ChainPath, RevuzReport, build_chain,
-                     default_horizon_cap, revuz_check, sample_path)
+from .markov import (Chain, RevuzReport, build_chain, default_horizon_cap,
+                     revuz_check)
 from .bsde import (BsdeSolution, LadderTrace, MartingaleReport, SolverError,
                    martingale_residual_check, solve_finite_horizon,
                    solve_random_horizon_ladder)

@@ -23,7 +23,7 @@ from .convergence import STUDY_METHODS, StudyError, convergence_study
 from .drivers import DriverError
 from .elliptic import METHODS, solve, verify_solution
 from .forms import MAX_DENSE_VALUES, FormError, GreenOperatorUndefined
-from .markov import _path_rng, build_chain, default_horizon_cap, sample_path
+from .markov import _paths, build_chain, default_horizon_cap
 from .reports import Report, ladder_rows, path_trace_rows, vector_rows
 
 USAGE_ERRORS = (cat.DescriptorError, DriverError, FormError, StudyError)
@@ -113,28 +113,32 @@ def cmd_simulate(args) -> int:
             f"MAX_DENSE_VALUES = {MAX_DENSE_VALUES} values, got {args.paths}")
     if not 0 <= args.start < n:  # refused before the CSV is opened
         raise FormError(f"start node {args.start} out of range")
+    if not args.seed >= 0:  # refused before the CSV is opened
+        raise FormError(
+            f"seed must be a non-negative integer, got {args.seed}")
     chain = build_chain(problem.form)
     horizon = args.horizon or default_horizon_cap(chain)
     absorbed = 0
 
     def rows():
-        """Sample the paths one at a time, counting the absorbed ones;
-        with --trace, yield each path's rows before the next is drawn.
-        The steps of all paths together are bounded by MAX_DENSE_VALUES."""
+        """Take the sampled paths in index order, counting the absorbed
+        ones; with --trace, yield each path's rows.  The steps of all
+        paths together, summed in index order, are bounded by
+        MAX_DENSE_VALUES."""
         nonlocal absorbed
         steps = 0
-        for i in range(args.paths):
-            sampled = sample_path(chain, args.start, args.seed, horizon,
-                                  rng=_path_rng(args.seed, i))
-            steps += len(sampled)
+        for i, (length, killed, states, holds) in enumerate(_paths(
+                chain, args.start, args.seed, horizon, args.paths,
+                record=args.trace)):
+            steps += length
             if steps > MAX_DENSE_VALUES:
                 raise SolverError(
                     f"--paths {args.paths}: path {i} brings the steps to "
                     f"{steps}, over the budget MAX_DENSE_VALUES = "
                     f"{MAX_DENSE_VALUES}")
-            absorbed += sampled.absorbed
+            absorbed += killed
             if args.trace:
-                yield from path_trace_rows(i, sampled)
+                yield from path_trace_rows(i, states, holds)
 
     out = args.out or _default_out()
     config = {"command": "simulate", "problem": pid, "start": args.start,

@@ -4,30 +4,28 @@ The chain jumps from x to y at rate w_xy / m_x and is killed (sent to the
 cemetery) at rate k_x / m_x, so its generator is G = -L/m on functions.
 States with zero total rate hold forever and are reported horizon-capped.
 
-Two sampling layers:
-
-  * sample_path: one path at a time, on the counter-based substream of its
-    path index; formlab simulate draws its paths this way.
-  * _lockstep: vectorized sampling of many paths advanced together in one
-    loop; it yields one Step per iteration and keeps no sums.  The paths
-    come in blocks, each with its own seeded stream, and each block draws
-    exactly what it would draw if it ran alone, so a block's paths do not
-    depend on the other blocks.  It holds only the paths still alive,
-    dropping ended ones after every iteration.  Its callers add up what
-    they need: _occupation, revuz_check, and the martingale residual
-    check's checkpoint recorder in bsde (one block per start node).  The
-    Monte Carlo solver hands _occupation one block, every start's paths on
-    the one stream _path_rng(seed), so each iteration makes three
-    Generator calls however many starts it runs; consecutive Philox draws
-    are as independent as substream draws.  With a single start the
-    engine walks the same path as sample_path on the same stream.
+One sampling engine, _lockstep: vectorized sampling of many paths
+advanced together in one loop; it yields one Step per iteration and keeps
+no sums.  The paths come in blocks, each with its own seeded stream, and
+each block draws exactly what it would draw if it ran alone, so a block's
+paths do not depend on the other blocks.  It holds only the paths still
+alive, dropping ended ones after every iteration.  Its callers add up what
+they need: _occupation, revuz_check, _paths (formlab simulate) and the
+martingale residual check's checkpoint recorder in bsde (one block per
+start node).  The Monte Carlo solver hands _occupation one block, every
+start's paths on the one stream _path_rng(seed), so each iteration makes
+three Generator calls however many starts it runs; consecutive Philox
+draws are as independent as substream draws.  formlab simulate runs each
+path as a one-path block on the substream _path_rng(seed, i) of its path
+index, a chunk of paths per _lockstep.  A one-path block walks the path
+that the test oracles' scalar sampler walks on the same stream.
 
 The engine's cost is a few vector passes per iteration over the alive
 paths, so each pass it saves is saved on every path step.  Chain keeps
-flat views of its (n, width) alias tables, each state's row offset
-x * width, its outcome count as a float and its last slot, so a batch
-draw is one 1-D gather per table; it records once whether some state has
-zero rate, and only such a chain pays for the guarded holding-time divide.
+its alias tables flat, with each state's row offset x * width, its
+outcome count as a float and its last slot, so a batch draw is one 1-D
+gather per table; it records once whether some state has zero rate, and
+only such a chain pays for the guarded holding-time divide.
 A path that jumps was not cut, so its next clock is the end t + hold the
 engine formed for the capped test, and an iteration that caps no path
 (most of them) selects its jumping paths with no mask.  The consumers
@@ -48,30 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import MAX_DENSE_VALUES, DirichletForm, FormError, SignedMeasure
-
-
-@dataclass(frozen=True)
-class ChainPath:
-    """One sampled trajectory: visited states with their holding times.
-
-    ``absorbed`` distinguishes paths killed at their lifetime from paths cut
-    at the horizon cap; the lifetime equals the sum of holding times exactly
-    when absorbed.
-    """
-
-    start: int
-    states: np.ndarray
-    holds: np.ndarray
-    absorbed: bool
-
-    @property
-    def zeta(self) -> float | None:
-        if not self.absorbed:
-            return None
-        return float(np.sum(self.holds))
-
-    def __len__(self) -> int:
-        return self.states.size
 
 
 class Chain:
@@ -127,21 +101,16 @@ class Chain:
             thresh_rows.append(np.minimum(q, 1.0))
             alias_rows.append(alias.astype(np.int64))
         width = max(1, int(counts.max()) if n else 1)
-        self.alias_count = counts
-        self.alias_out = np.full((n, width), -2, dtype=np.int64)
-        self.alias_thresh = np.zeros((n, width))
-        self.alias_alias = np.zeros((n, width), dtype=np.int64)
-        for x in range(n):
-            K = counts[x]
-            if K:
-                self.alias_out[x, :K] = outcome_rows[x]
-                self.alias_thresh[x, :K] = thresh_rows[x]
-                self.alias_alias[x, :K] = alias_rows[x]
-        # draw_next's flat views: row x of a table starts at x * width
-        self._flat_out = self.alias_out.ravel()
-        self._flat_thresh = self.alias_thresh.ravel()
-        self._flat_alias = self.alias_alias.ravel()
+        # draw_next's tables, flat: row x of a table starts at x * width
         self._row_start = np.arange(n, dtype=np.int64) * width
+        self._flat_out = np.full(n * width, -2, dtype=np.int64)
+        self._flat_thresh = np.zeros(n * width)
+        self._flat_alias = np.zeros(n * width, dtype=np.int64)
+        for x, a in enumerate(self._row_start.tolist()):
+            z = a + counts[x]
+            self._flat_out[a:z] = outcome_rows[x]
+            self._flat_thresh[a:z] = thresh_rows[x]
+            self._flat_alias[a:z] = alias_rows[x]
         self._count_f = counts.astype(float)
         self._last_slot = np.maximum(counts - 1, 0)
 
@@ -149,9 +118,9 @@ class Chain:
         """Vectorized next-outcome draw; -1 means the cemetery.
 
         Slot j = min(int(r1 * K_x), K_x - 1) is kept when r2 < thresh[x, j]
-        and replaced by alias[x, j] otherwise, as in draw_next_scalar.  The
-        tables are read through flat views at x * width + slot, with K_x as
-        a float and K_x - 1 precomputed, so each table costs one 1-D gather.
+        and replaced by alias[x, j] otherwise (Walker's alias method).  The
+        tables are flat, read at x * width + slot, with K_x as a float and
+        K_x - 1 precomputed, so each table costs one 1-D gather.
         """
         row = self._row_start[states]
         j = (r1 * self._count_f[states]).astype(np.int64)
@@ -161,13 +130,6 @@ class Chain:
         slot += row
         np.copyto(slot, j, where=r2 < self._flat_thresh[j])
         return self._flat_out[slot]
-
-    def draw_next_scalar(self, x: int, r1: float, r2: float) -> int:
-        K = int(self.alias_count[x])
-        j = min(int(r1 * K), K - 1)
-        if r2 >= self.alias_thresh[x, j]:
-            j = int(self.alias_alias[x, j])
-        return int(self.alias_out[x, j])
 
 
 def build_chain(form: DirichletForm) -> Chain:
@@ -206,39 +168,6 @@ def _check_horizon(horizon: float):
     """A horizon must be > 0 (+inf allowed); NaN would never cap a path."""
     if not horizon > 0:
         raise FormError(f"horizon cap must be positive, got {horizon}")
-
-
-def sample_path(chain: Chain, x0: int, seed: int, horizon_cap: float,
-                rng=None) -> ChainPath:
-    """Sample one trajectory from x0 until killing or the horizon cap.
-
-    Identical (x0, seed, horizon_cap) always produce the identical path.
-    """
-    if not (0 <= x0 < chain.n):
-        raise FormError(f"start node {x0} out of range")
-    _check_horizon(horizon_cap)
-    if rng is None:
-        rng = _path_rng(seed)
-    expovariate = rng.standard_exponential
-    uniform = rng.random
-    lam_all = chain.lam
-    states, holds = [], []
-    x = int(x0)
-    t = 0.0
-    while True:
-        lam = lam_all[x]
-        hold = expovariate() / lam if lam > 0.0 else np.inf
-        if t + hold >= horizon_cap:
-            states.append(x)
-            holds.append(horizon_cap - t)
-            return ChainPath(x0, np.asarray(states), np.asarray(holds), False)
-        states.append(x)
-        holds.append(hold)
-        t += hold
-        out = chain.draw_next_scalar(x, uniform(), uniform())
-        if out == -1:
-            return ChainPath(x0, np.asarray(states), np.asarray(holds), True)
-        x = out
 
 
 def _mean_se(samples) -> tuple[float, float]:
@@ -339,6 +268,52 @@ def _lockstep(chain: Chain, blocks, horizon: float):
             keep = jumps
         idx, state, t = idx[keep], outcome[live], end[keep]
         del hold, end, capped, jumps, outcome, live, keep
+
+
+PATH_CHUNK = 96
+
+
+def _paths(chain: Chain, start: int, seed: int, horizon: float, count: int,
+           record: bool):
+    """Yield (steps, absorbed, states, holds) of paths 0, ..., count - 1.
+
+    Every path starts at `start`, and path i is a one-path block of
+    _lockstep on the substream _path_rng(seed, i), so it walks the path
+    that block walks alone.  PATH_CHUNK paths at a time run through one
+    _lockstep to their end, and then the chunk's paths are yielded in index
+    order.  A path's steps are the Steps it appears in; a path that the
+    horizon does not cut ends by a jump to the cemetery, absorbed.  With
+    `record`, states and holds are its visited states and holding times,
+    gathered from the chunk's Steps by a stable sort on the path index;
+    without it they are None and a chunk keeps only its counts.
+    """
+    origin = np.array([start], dtype=np.int64)
+    for first in range(0, count, PATH_CHUNK):
+        size = min(PATH_CHUNK, count - first)
+        steps = np.zeros(size, dtype=np.int64)
+        capped = np.zeros(size, dtype=bool)
+        log = []
+        for k, step in enumerate(_lockstep(
+                chain, [(origin, _path_rng(seed, i))
+                        for i in range(first, first + size)], horizon)):
+            steps[step.idx] = k + 1  # a path is in every Step to its last
+            if step.outcome.size < step.idx.size:  # the horizon cut some
+                capped[step.idx[step.capped]] = True
+            if record:
+                log.append((step.idx, step.state, step.hold))
+        states = holds = None
+        if record:
+            idx, states, holds = (np.concatenate(a) for a in zip(*log))
+            del log
+            order = idx.argsort(kind="stable")
+            states, holds = states[order], holds[order]
+        a = 0
+        for L, cut in zip(steps.tolist(), capped.tolist()):
+            if record:
+                yield L, not cut, states[a:a + L], holds[a:a + L]
+            else:
+                yield L, not cut, None, None
+            a += L
 
 
 def _mapped_zeros(rows: int, cols: int) -> np.ndarray:

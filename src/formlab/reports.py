@@ -7,6 +7,7 @@ round-trip form), so identical configurations reproduce identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections.abc import Callable, Iterable
@@ -30,9 +31,10 @@ class Report:
     """A CSV body and its JSON sidecar.
 
     rows may be any iterable of rows; it is consumed once, row by row, as
-    the CSV is written.  summary is a string, or a function of no
-    arguments called once the rows are written, for a summary that counts
-    what the rows went through.
+    the CSV is written under a temporary name, which takes the CSV's name
+    once the rows are done, so rows that raise leave no CSV behind.
+    summary is a string, or a function of no arguments called once the
+    rows are written, for a summary that counts what the rows went through.
     """
 
     name: str
@@ -45,10 +47,17 @@ class Report:
     def write(self, outdir) -> str:
         os.makedirs(outdir, exist_ok=True)
         csv_path = os.path.join(outdir, f"{self.name}.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(self.header) + "\n")
-            for row in self.rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+        part = csv_path + ".part"
+        try:
+            with open(part, "w", encoding="utf-8") as fh:
+                fh.write(",".join(self.header) + "\n")
+                for row in self.rows:
+                    fh.write(",".join(fmt(v) for v in row) + "\n")
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+            raise
+        os.replace(part, csv_path)
         summary = self.summary() if callable(self.summary) else self.summary
         meta = {"schema": SCHEMA_ID, "summary": summary,
                 "passed": self.passed, "config": self.config}
@@ -78,7 +87,8 @@ def ladder_rows(trace):
              int(lv.inner_iterations)) for lv in trace.levels]
 
 
-def path_trace_rows(p_idx, path):
+def path_trace_rows(p_idx, states, holds):
     """(path index, step, state, holding time) rows of one sampled path."""
-    for step, (state, hold) in enumerate(zip(path.states, path.holds)):
-        yield (p_idx, step, int(state), float(hold))
+    for step, (state, hold) in enumerate(zip(states.tolist(),
+                                             holds.tolist())):
+        yield (p_idx, step, state, hold)

@@ -2,6 +2,11 @@
 
 None of these is called by a solver, a check or a command:
 
+  * sample_path: one path at a time, on the counter-based substream of
+    its path index, through draw_next_scalar, the scalar alias draw on the
+    Chain's own tables; the independent per-path reference for the
+    library's one path engine, markov._lockstep.  ChainPath holds its
+    result.
   * mc_expectation: one path at a time through sample_path, one
     counter-based substream per path index, merged by pairwise summation;
     the slow reference for the lockstep engine.
@@ -20,12 +25,85 @@ import scipy.linalg as sla
 
 from formlab.drivers import Driver
 from formlab.forms import DirichletForm, FormError, SignedMeasure
-from formlab.markov import (Chain, ChainPath, _mean_se, _path_rng,
-                            default_horizon_cap, sample_path)
+from formlab.markov import (Chain, _check_horizon, _mean_se, _path_rng,
+                            default_horizon_cap)
 
 
 class SimulationError(RuntimeError):
     """Raised when a sampled functional cannot be trusted (non-finite, capped)."""
+
+
+@dataclass(frozen=True)
+class ChainPath:
+    """One sampled trajectory: visited states with their holding times.
+
+    ``absorbed`` distinguishes paths killed at their lifetime from paths cut
+    at the horizon cap; the lifetime equals the sum of holding times exactly
+    when absorbed.
+    """
+
+    start: int
+    states: np.ndarray
+    holds: np.ndarray
+    absorbed: bool
+
+    @property
+    def zeta(self) -> float | None:
+        if not self.absorbed:
+            return None
+        return float(np.sum(self.holds))
+
+    def __len__(self) -> int:
+        return self.states.size
+
+
+def draw_next_scalar(chain: Chain, x: int, r1: float, r2: float) -> int:
+    """The next outcome of state x (-1 for the cemetery), one at a time.
+
+    Slot j = min(int(r1 * K_x), K_x - 1) of row x is kept when r2 <
+    thresh[x, j] and replaced by alias[x, j] otherwise (Walker's alias
+    method), read from the flat tables Chain.draw_next reads, in which
+    row x starts at x * width.
+    """
+    K = int(chain._count_f[x])
+    row = int(chain._row_start[x])
+    j = row + min(int(r1 * K), K - 1)
+    if r2 >= chain._flat_thresh[j]:
+        j = row + int(chain._flat_alias[j])
+    return int(chain._flat_out[j])
+
+
+def sample_path(chain: Chain, x0: int, seed: int, horizon_cap: float,
+                rng=None) -> ChainPath:
+    """Sample one trajectory from x0 until killing or the horizon cap.
+
+    Identical (x0, seed, horizon_cap) always produce the identical path.
+    """
+    if not (0 <= x0 < chain.n):
+        raise FormError(f"start node {x0} out of range")
+    _check_horizon(horizon_cap)
+    if rng is None:
+        rng = _path_rng(seed)
+    expovariate = rng.standard_exponential
+    uniform = rng.random
+    lam_all = chain.lam
+    states, holds = [], []
+    x = int(x0)
+    t = 0.0
+    while True:
+        lam = lam_all[x]
+        hold = expovariate() / lam if lam > 0.0 else np.inf
+        if t + hold >= horizon_cap:
+            states.append(x)
+            holds.append(horizon_cap - t)
+            return ChainPath(x0, np.asarray(states), np.asarray(holds), False)
+        states.append(x)
+        holds.append(hold)
+        t += hold
+        out = draw_next_scalar(chain, x, uniform(), uniform())
+        if out == -1:
+            return ChainPath(x0, np.asarray(states), np.asarray(holds), True)
+        x = out
 
 
 def mc_expectation(chain: Chain, x0: int, functional, N: int, seed: int,

@@ -9,7 +9,8 @@ import formlab as fl
 from formlab import bsde
 from formlab.bsde import SolverError, _checkpoint_values
 from formlab.markov import _occupation, _path_rng
-from oracles import CallableDriver, extract_martingale, mc_expectation
+from oracles import (CallableDriver, extract_martingale, mc_expectation,
+                     sample_path)
 from randomized import (random_measure, random_monotone_driver,
                         random_shaped_form, random_transient_form)
 
@@ -532,7 +533,7 @@ def test_martingale_harmonic_function():
     form = fl.build_form(space, W, np.zeros(3))
     u = np.full(3, 2.5)   # constants are harmonic without killing
     chain = fl.build_chain(form)
-    path = fl.sample_path(chain, 0, seed=3, horizon_cap=5.0)
+    path = sample_path(chain, 0, seed=3, horizon_cap=5.0)
     times, M = extract_martingale(path, u, fl.Driver.zero(3),
                                   fl.SignedMeasure(np.zeros(3)), form)
     np.testing.assert_allclose(M, 0.0, atol=1e-14)
@@ -542,7 +543,7 @@ def test_martingale_constant_on_absorbing_alive_node():
     space = fl.StateSpace(np.ones(1))
     form = fl.build_form(space, np.zeros((1, 1)), np.zeros(1))
     chain = fl.build_chain(form)
-    path = fl.sample_path(chain, 0, seed=1, horizon_cap=4.0)
+    path = sample_path(chain, 0, seed=1, horizon_cap=4.0)
     _, M = extract_martingale(path, np.array([1.0]), fl.Driver.zero(1),
                               fl.SignedMeasure(np.zeros(1)), form)
     np.testing.assert_allclose(M, 0.0, atol=1e-15)
@@ -560,7 +561,7 @@ def test_martingale_terminal_value_single_node():
         _, M = extract_martingale(path, u, drv, mu, form)
         return M[-1]
 
-    path = fl.sample_path(chain, 0, seed=9, horizon_cap=1e6)
+    path = sample_path(chain, 0, seed=9, horizon_cap=1e6)
     assert terminal_m(path) == pytest.approx(path.zeta - 1.0, rel=1e-12)
     mean, se = mc_expectation(chain, 0, terminal_m, 100_000, seed=10)
     assert abs(mean) <= 3 * se
@@ -623,7 +624,7 @@ def test_lockstep_engine_matches_single_path_exactly():
     horizon = float(cps.max()) * (1.0 + 1e-9)
     for i in range(300):
         x = i % form.n
-        path = fl.sample_path(chain, x, 0, horizon, rng=_path_rng(7, i))
+        path = sample_path(chain, x, 0, horizon, rng=_path_rng(7, i))
         occ, _ = _occupation(chain, [([x], _path_rng(7, i))], horizon)
         ref = np.zeros(form.n)
         np.add.at(ref, path.states, path.holds)
@@ -820,8 +821,8 @@ def test_bracket_growth_stable_under_path_count():
     def second_moment(N, seed):
         vals = np.empty(N)
         for i in range(N):
-            p = fl.sample_path(chain, 0, 0, 50.0,
-                               rng=fl.markov._path_rng(seed, i))
+            p = sample_path(chain, 0, 0, 50.0,
+                            rng=fl.markov._path_rng(seed, i))
             _, M = extract_martingale(p, u, drv, mu, form)
             vals[i] = M[-1] ** 2
         return float(np.mean(vals))

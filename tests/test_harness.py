@@ -11,7 +11,9 @@ import formlab as fl
 from formlab import cli
 from formlab.cli import main
 from formlab.convergence import StudyError
+from formlab.markov import PATH_CHUNK
 from formlab.reports import Report, fmt, vector_rows
+from oracles import sample_path
 
 
 def _sha256(path):
@@ -284,29 +286,44 @@ def test_cli_simulate_bad_start_writes_nothing(tmp_path, capsys, start):
     assert not any(tmp_path.iterdir())
 
 
-def _simulated_paths(out, seed):
-    assert main(["simulate", "--catalog", "perturbed-g", "--start", "2",
-                 "--paths", "4", "--seed", str(seed), "--trace",
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+def test_cli_simulate_bad_seed_writes_nothing(tmp_path, capsys, trace):
+    assert main(["simulate", "--catalog", "perturbed-g", "--seed", "-1",
+                 *trace, "--out", str(tmp_path)]) == 2
+    assert "seed must be a non-negative integer, got -1" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def _simulated_paths(out, pid, start, count, seed):
+    assert main(["simulate", "--catalog", pid, "--start", str(start),
+                 "--paths", str(count), "--seed", str(seed), "--trace",
                  "--out", str(out)]) == 0
     paths = {}
-    for line in (out / "paths-perturbed-g.csv").read_text().splitlines()[1:]:
+    for line in (out / f"paths-{pid}.csv").read_text().splitlines()[1:]:
         path, _, state, hold = line.split(",")
         paths.setdefault(int(path), []).append((int(state), float(hold)))
-    meta = json.loads((out / "paths-perturbed-g.json").read_text())
-    return [paths[i] for i in range(4)], meta["config"]["horizon"]
+    meta = json.loads((out / f"paths-{pid}.json").read_text())
+    return [paths[i] for i in range(count)], meta["config"]["horizon"]
 
 
 def test_cli_simulate_seeds_share_no_path(tmp_path):
-    chain = fl.build_chain(fl.build_catalog_problem("perturbed-g").form)
-    by_seed = {}
-    for seed in (0, 1):
-        paths, horizon = _simulated_paths(tmp_path / str(seed), seed)
-        for i, path in enumerate(paths):
-            ref = fl.sample_path(chain, 2, seed, horizon,
-                                 rng=fl.markov._path_rng(seed, i))
-            assert path == list(zip(ref.states.tolist(), ref.holds.tolist()))
-        by_seed[seed] = paths
-    assert not any(p in by_seed[1] for p in by_seed[0])
+    # every path is the oracle's path on its own substream, also across the
+    # engine's chunk boundaries (2 * PATH_CHUNK + 1 paths on lap2d)
+    for pid, start, count in (("perturbed-g", 2, 4),
+                              ("lap2d", 5, 2 * PATH_CHUNK + 1)):
+        chain = fl.build_chain(fl.build_catalog_problem(pid).form)
+        by_seed = {}
+        for seed in (0, 1):
+            paths, horizon = _simulated_paths(tmp_path / f"{pid}-{seed}", pid,
+                                              start, count, seed)
+            for i, path in enumerate(paths):
+                ref = sample_path(chain, start, seed, horizon,
+                                  rng=fl.markov._path_rng(seed, i))
+                assert path == list(zip(ref.states.tolist(),
+                                        ref.holds.tolist()))
+            by_seed[seed] = paths
+        assert not any(p in by_seed[1] for p in by_seed[0])
 
 
 def test_cli_simulate_has_no_tol(tmp_path, capsys):
@@ -330,6 +347,7 @@ def test_cli_simulate_step_budget_exits_1(tmp_path, capsys, monkeypatch):
     assert "--paths 100: path " in err and "MAX_DENSE_VALUES = 1600" in err
     assert "Traceback" not in err
     assert not (tmp_path / "paths-perturbed-g.json").exists()
+    assert not (tmp_path / "paths-perturbed-g.csv").exists()
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -345,7 +363,7 @@ def test_cli_huge_path_budget_exits_2(tmp_path, capsys, monkeypatch, argv,
         raise AssertionError("a path engine was entered")
     monkeypatch.setattr(fl.markov, "_lockstep", engine)
     monkeypatch.setattr(fl.bsde, "_lockstep", engine)
-    monkeypatch.setattr(cli, "sample_path", engine)
+    monkeypatch.setattr(cli, "_paths", engine)
     code = main([*argv, "--catalog", "lap2d", "--paths", "1000000000",
                  "--out", str(tmp_path)])
     assert code == 2

@@ -9,7 +9,8 @@ from scipy.linalg import expm
 import formlab as fl
 from formlab.bsde import _checkpoint_values
 from formlab.markov import _occupation, _path_rng
-from oracles import SimulationError, additive_functional, mc_expectation
+from oracles import (ChainPath, SimulationError, additive_functional,
+                     mc_expectation, sample_path)
 from randomized import (random_measure, random_shaped_form,
                         random_transient_form)
 
@@ -38,18 +39,18 @@ def test_isolated_node_absorbing_alive():
     form = fl.build_form(space, np.zeros((1, 1)), np.zeros(1))
     chain = fl.build_chain(form)
     assert chain.lam[0] == 0.0
-    path = fl.sample_path(chain, 0, seed=0, horizon_cap=5.0)
-    assert not path.absorbed
-    assert path.zeta is None
-    np.testing.assert_allclose(path.holds, [5.0])
+    # the engine's one path holds until the horizon cuts it, unabsorbed
+    occ, capped = _occupation(chain, [([0], _path_rng(0))], 5.0)
+    assert capped == 1
+    np.testing.assert_allclose(occ, [[5.0]])
 
 
 def test_sample_path_deterministic():
     rng_form = np.random.default_rng(2)
     form = random_transient_form(rng_form, 6, 10)
     chain = fl.build_chain(form)
-    p1 = fl.sample_path(chain, 1, seed=5, horizon_cap=100.0)
-    p2 = fl.sample_path(chain, 1, seed=5, horizon_cap=100.0)
+    p1 = sample_path(chain, 1, seed=5, horizon_cap=100.0)
+    p2 = sample_path(chain, 1, seed=5, horizon_cap=100.0)
     assert np.array_equal(p1.states, p2.states)
     assert np.array_equal(p1.holds, p2.holds)
     assert p1.absorbed == p2.absorbed
@@ -57,7 +58,7 @@ def test_sample_path_deterministic():
 
 def test_lifetime_sum_of_holds_when_absorbed():
     chain = fl.build_chain(single_node())
-    path = fl.sample_path(chain, 0, seed=3, horizon_cap=1e6)
+    path = sample_path(chain, 0, seed=3, horizon_cap=1e6)
     assert path.absorbed
     assert path.zeta == pytest.approx(float(np.sum(path.holds)))
 
@@ -86,7 +87,7 @@ def test_mc_expectation_aborts_on_nonfinite():
 def test_additive_functional_basics():
     form = single_node()
     chain = fl.build_chain(form)
-    path = fl.sample_path(chain, 0, seed=1, horizon_cap=1e6)
+    path = sample_path(chain, 0, seed=1, horizon_cap=1e6)
     zero = additive_functional(path, fl.SignedMeasure(np.zeros(1)), form)
     assert zero.value == 0.0
     mu = fl.SignedMeasure(np.array([3.0]))
@@ -99,7 +100,7 @@ def test_additive_functional_basics():
 def test_additive_functional_flags_capped():
     form = single_node(k=0.001)
     chain = fl.build_chain(form)
-    path = fl.sample_path(chain, 0, seed=1, horizon_cap=0.01)
+    path = sample_path(chain, 0, seed=1, horizon_cap=0.01)
     af = additive_functional(path, fl.SignedMeasure(np.ones(1)), form)
     assert af.lower_bound_only
 
@@ -109,11 +110,11 @@ def test_additive_functional_concatenation():
     form = random_transient_form(rng_form, 6, 10)
     chain = fl.build_chain(form)
     mu = random_measure(np.random.default_rng(9), form.n)
-    path = fl.sample_path(chain, 0, seed=21, horizon_cap=1e5)
+    path = sample_path(chain, 0, seed=21, horizon_cap=1e5)
     cut = max(1, len(path) // 2)
-    prefix = fl.ChainPath(path.start, path.states[:cut], path.holds[:cut], False)
-    suffix = fl.ChainPath(int(path.states[cut]) if cut < len(path) else 0,
-                          path.states[cut:], path.holds[cut:], path.absorbed)
+    prefix = ChainPath(path.start, path.states[:cut], path.holds[:cut], False)
+    suffix = ChainPath(int(path.states[cut]) if cut < len(path) else 0,
+                       path.states[cut:], path.holds[cut:], path.absorbed)
     total = additive_functional(path, mu, form).value
     split = additive_functional(prefix, mu, form).value \
         + additive_functional(suffix, mu, form).value
@@ -185,7 +186,7 @@ def test_batch_engine_matches_single_path_rates():
     occ_batch = occ.mean(axis=0)
     vals = np.zeros(form.n)
     for i in range(6000):
-        p = fl.sample_path(chain, 0, 0, cap, rng=_path_rng(123, i))
+        p = sample_path(chain, 0, 0, cap, rng=_path_rng(123, i))
         np.add.at(vals, p.states, p.holds)
     occ_single = vals / 6000
     se = occ.std(axis=0, ddof=1) / np.sqrt(N)
@@ -225,9 +226,9 @@ def test_engine_rejects_bad_horizon(cap):
     rng = np.random.default_rng(17)
     chain = fl.build_chain(random_transient_form(rng, 5, 8))
     with pytest.raises(fl.FormError, match="horizon cap must be positive"):
-        fl.sample_path(chain, 0, 0, cap)
+        _occupation(chain, [([0], _path_rng(0))], cap)
     # an infinite cap is allowed: a path of a transient chain is absorbed
-    assert fl.sample_path(chain, 0, 0, np.inf).absorbed
+    assert _occupation(chain, [([0], _path_rng(0))], np.inf)[1] == 0
 
 
 # -- Revuz correspondence -----------------------------------------------------
