@@ -23,7 +23,7 @@ from .convergence import STUDY_METHODS, StudyError, convergence_study
 from .drivers import DriverError
 from .elliptic import METHODS, solve, verify_solution
 from .forms import MAX_DENSE_VALUES, FormError, GreenOperatorUndefined
-from .markov import _paths, build_chain, default_horizon_cap
+from .markov import _check_seed, _paths, build_chain, default_horizon_cap
 from .reports import Report, ladder_rows, path_trace_rows, vector_rows
 
 USAGE_ERRORS = (cat.DescriptorError, DriverError, FormError, StudyError)
@@ -113,9 +113,7 @@ def cmd_simulate(args) -> int:
             f"MAX_DENSE_VALUES = {MAX_DENSE_VALUES} values, got {args.paths}")
     if not 0 <= args.start < n:  # refused before the CSV is opened
         raise FormError(f"start node {args.start} out of range")
-    if not args.seed >= 0:  # refused before the CSV is opened
-        raise FormError(
-            f"seed must be a non-negative integer, got {args.seed}")
+    _check_seed(args.seed)  # refused before the CSV is opened too
     chain = build_chain(problem.form)
     horizon = args.horizon or default_horizon_cap(chain)
     absorbed = 0
@@ -129,7 +127,7 @@ def cmd_simulate(args) -> int:
         steps = 0
         for i, (length, killed, states, holds) in enumerate(_paths(
                 chain, args.start, args.seed, horizon, args.paths,
-                record=args.trace)):
+                record=MAX_DENSE_VALUES if args.trace else 0)):
             steps += length
             if steps > MAX_DENSE_VALUES:
                 raise SolverError(
@@ -137,8 +135,7 @@ def cmd_simulate(args) -> int:
                     f"{steps}, over the budget MAX_DENSE_VALUES = "
                     f"{MAX_DENSE_VALUES}")
             absorbed += killed
-            if args.trace:
-                yield from path_trace_rows(i, states, holds)
+            yield from path_trace_rows(i, states, holds)
 
     out = args.out or _default_out()
     config = {"command": "simulate", "problem": pid, "start": args.start,

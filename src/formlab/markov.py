@@ -153,10 +153,15 @@ def default_horizon_cap(chain: Chain) -> float:
     return 50.0 / float(positive.min())
 
 
-def _path_rng(seed: int, index: int | None = None):
-    """Counter-based Philox stream for `seed`, or its substream `index`."""
+def _check_seed(seed: int):
+    """A seed must be a non-negative integer."""
     if not seed >= 0:
         raise FormError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _path_rng(seed: int, index: int | None = None):
+    """Counter-based Philox stream for `seed`, or its substream `index`."""
+    _check_seed(seed)
     if index is None:
         ss = np.random.SeedSequence(entropy=seed)
     else:
@@ -202,11 +207,14 @@ def _lockstep(chain: Chain, blocks, horizon: float):
     alive: their indices idx, states and clocks, compacted by one boolean
     mask after every iteration.  The mask keeps their order, so idx stays
     sorted and the alive paths of each block are one contiguous slice of
-    it.  Every iteration, each block with alive paths draws
-    standard_exponential(its alive) from its own rng, then random(its
-    jumps) twice when some jump: the calls it would make alone, so its
-    paths do not depend on the other blocks.  Holds are exponentials over
-    the states' rates; only a chain with a zero-rate state divides under a
+    it.  A block whose paths have all ended leaves the block list for good,
+    so an iteration walks only the blocks still alive.  Every iteration,
+    each of them draws standard_exponential(its alive) from its own rng,
+    then random(its jumps) twice when some jump: the calls it would make
+    alone, so its paths do not depend on the other blocks.  A block with
+    one alive path or one jump draws scalars, the same numbers as a
+    one-element fill at less call cost.  Holds are exponentials over the
+    states' rates; only a chain with a zero-rate state divides under a
     `where` and fills inf.  A path is capped when end = t + hold reaches
     the horizon; the others jump, all their outcomes drawn by one
     chain.draw_next call per iteration with jumps.  Most iterations cap no
@@ -226,8 +234,15 @@ def _lockstep(chain: Chain, blocks, horizon: float):
     while idx.size:
         hold = np.empty(idx.size)
         cut = idx.searchsorted(bounds).tolist()
+        running = [b for b, (a, z) in enumerate(zip(cut, cut[1:])) if a < z]
+        if len(running) < len(rngs):  # drop the ended blocks for good
+            rngs = [rngs[b] for b in running]
+            bounds = bounds[running + [-1]]
+            cut = [cut[b] for b in running] + [cut[-1]]
         for rng, a, z in zip(rngs, cut, cut[1:]):
-            if a < z:
+            if z - a == 1:  # one alive path: a scalar draw is cheaper
+                hold[a] = rng.standard_exponential()
+            else:
                 rng.standard_exponential(out=hold[a:z])
         lam = chain.lam[state]
         if chain.has_zero_rate:
@@ -251,12 +266,16 @@ def _lockstep(chain: Chain, blocks, horizon: float):
         outcome = np.empty(0, dtype=np.int64)
         if cut[-1]:
             r = np.empty((2, cut[-1]))
+            r0, r1 = r
             for rng, a, z in zip(rngs, cut, cut[1:]):
-                if a < z:
-                    rng.random(out=r[0, a:z])
-                    rng.random(out=r[1, a:z])
-            outcome = chain.draw_next(moving, r[0], r[1])
-            del r
+                if z - a == 1:
+                    r0[a] = rng.random()
+                    r1[a] = rng.random()
+                elif a < z:
+                    rng.random(out=r0[a:z])
+                    rng.random(out=r1[a:z])
+            outcome = chain.draw_next(moving, r0, r1)
+            del r, r0, r1
         del moving
         yield Step(idx, state, t, hold, capped, outcome)
         # a path goes on when it jumped to a state, not to the cemetery; a
@@ -274,7 +293,7 @@ PATH_CHUNK = 96
 
 
 def _paths(chain: Chain, start: int, seed: int, horizon: float, count: int,
-           record: bool):
+           record: int = 0):
     """Yield (steps, absorbed, states, holds) of paths 0, ..., count - 1.
 
     Every path starts at `start`, and path i is a one-path block of
@@ -282,37 +301,42 @@ def _paths(chain: Chain, start: int, seed: int, horizon: float, count: int,
     that block walks alone.  PATH_CHUNK paths at a time run through one
     _lockstep to their end, and then the chunk's paths are yielded in index
     order.  A path's steps are the Steps it appears in; a path that the
-    horizon does not cut ends by a jump to the cemetery, absorbed.  With
-    `record`, states and holds are its visited states and holding times,
-    gathered from the chunk's Steps by a stable sort on the path index;
-    without it they are None and a chunk keeps only its counts.
+    horizon does not cut ends by a jump to the cemetery, absorbed.  States
+    and holds are its visited states and holding times, gathered from the
+    chunk's Steps by a stable sort on the path index, while the steps of
+    all paths so far stay within `record` (0 records none).  The chunk
+    that passes `record`, and every later one, drops what it logged and
+    yields empty states and holds, so the log never holds more than
+    `record` steps and one Step.
     """
     origin = np.array([start], dtype=np.int64)
+    left = record  # steps that may still be recorded
     for first in range(0, count, PATH_CHUNK):
         size = min(PATH_CHUNK, count - first)
         steps = np.zeros(size, dtype=np.int64)
         capped = np.zeros(size, dtype=bool)
-        log = []
+        log, logged = [], 0
         for k, step in enumerate(_lockstep(
                 chain, [(origin, _path_rng(seed, i))
                         for i in range(first, first + size)], horizon)):
             steps[step.idx] = k + 1  # a path is in every Step to its last
-            if step.outcome.size < step.idx.size:  # the horizon cut some
-                capped[step.idx[step.capped]] = True
-            if record:
+            capped[step.idx[step.capped]] = True
+            logged += step.idx.size
+            if logged <= left:
                 log.append((step.idx, step.state, step.hold))
-        states = holds = None
-        if record:
+            else:
+                log.clear()
+        left -= logged
+        states = holds = np.empty(0)
+        if log:
             idx, states, holds = (np.concatenate(a) for a in zip(*log))
-            del log
             order = idx.argsort(kind="stable")
             states, holds = states[order], holds[order]
+            del idx, order
+        del log
         a = 0
         for L, cut in zip(steps.tolist(), capped.tolist()):
-            if record:
-                yield L, not cut, states[a:a + L], holds[a:a + L]
-            else:
-                yield L, not cut, None, None
+            yield L, not cut, states[a:a + L], holds[a:a + L]
             a += L
 
 

@@ -350,6 +350,24 @@ def test_cli_simulate_step_budget_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "paths-perturbed-g.csv").exists()
 
 
+def test_cli_simulate_trace_log_bounded_by_budget(tmp_path, monkeypatch):
+    # the first chunk's paths take about 29 times the step budget; --trace
+    # logs at most the budget of them before the run stops, so it adds
+    # little to the traced peak (it added about 3 MB with an unbounded log)
+    monkeypatch.setattr(cli, "MAX_DENSE_VALUES", 1600)
+    peaks = []
+    for trace in ([], ["--trace"]):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--catalog", "perturbed-g", "--paths",
+                         "100", *trace, "--out", str(tmp_path)]) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 4 * 24 * 1600, peaks
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, name", [
     (["solve", "--method", "mc"], "n_paths"),
     (["verify", "--method", "ladder"], "N"),
